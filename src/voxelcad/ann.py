@@ -28,12 +28,9 @@ with the best validation SSE are restored.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .labels import from_sign
 
 _MU_FLOOR = 1e-300      # keeps the damping term a normal float
 _DIVERGENCE_LOSS = 1e12
@@ -92,14 +89,13 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class AnnModel:
-    """Trained network parameters plus the standardization that fed them."""
+    """Trained network parameters."""
 
     w1: np.ndarray              # h x d
     b1: np.ndarray              # h
     w2: np.ndarray              # h
     b2: float
     activation: Activation = Activation.TANSIG
-    standardization: tuple[np.ndarray, np.ndarray] | None = None
     history: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -124,39 +120,23 @@ class AnnModel:
         return self.w1.shape[1]
 
     def to_dict(self) -> dict:
-        means, sigmas = self.standardization if self.standardization else (None, None)
         return {
-            "version": 1,
             "activation": self.activation.value,
             "w1": self.w1.tolist(),
             "b1": self.b1.tolist(),
             "w2": self.w2.tolist(),
             "b2": self.b2,
-            "standardization": None if means is None else
-                {"means": means.tolist(), "sigmas": sigmas.tolist()},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnnModel":
-        std = d.get("standardization")
         return cls(
             w1=np.array(d["w1"], dtype=np.float64),
             b1=np.array(d["b1"], dtype=np.float64),
             w2=np.array(d["w2"], dtype=np.float64),
             b2=float(d["b2"]),
             activation=Activation(d["activation"]),
-            standardization=None if std is None else
-                (np.array(std["means"]), np.array(std["sigmas"])),
         )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "AnnModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _act(z: np.ndarray, activation: Activation) -> np.ndarray:
@@ -171,25 +151,12 @@ def _act_prime_from(z: np.ndarray, a: np.ndarray, activation: Activation) -> np.
     return (z > 0.0).astype(np.float64)
 
 
-def forward(model: AnnModel, x) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_inputs,):
-        raise ValueError(f"x has shape {x.shape}, the network takes {model.n_inputs} inputs")
-    a = _act(model.w1 @ x + model.b1, model.activation)
-    return float(model.w2 @ a + model.b2)
-
-
 def forward_batch(model: AnnModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.n_inputs:
         raise ValueError(f"X has {X.shape[1]} columns, the network takes {model.n_inputs} inputs")
     A = _act(X @ model.w1.T + model.b1, model.activation)
     return A @ model.w2 + model.b2
-
-
-def classify(model: AnnModel, x) -> str:
-    """Sign rule on the network output: > 0 is AD, <= 0 is HC."""
-    return from_sign(forward(model, x))
 
 
 # --- parameter vector layout: [w1.ravel(), b1, w2, b2] ---------------------
@@ -334,18 +301,16 @@ def _check_training_inputs(X, targets, val_X, val_targets):
     return X, targets, val_X, val_targets
 
 
-def _finish(theta, d, h, cfg, standardization, history, stopper):
+def _finish(theta, d, h, cfg, history, stopper):
     if stopper is not None and stopper.best_theta is not None:
         theta = stopper.best_theta
     w1, b1, w2, b2 = _unpack(theta, d, h)
     return AnnModel(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=float(b2),
-                    activation=cfg.activation, standardization=standardization,
-                    history=history)
+                    activation=cfg.activation, history=history)
 
 
 def train_lm(X, targets, cfg: TrainConfig = TrainConfig(),
-             val_X=None, val_targets=None,
-             standardization=None) -> AnnModel:
+             val_X=None, val_targets=None) -> AnnModel:
     """Levenberg-Marquardt training; accepted-step SSE is non-increasing."""
     X, targets, val_X, val_targets = _check_training_inputs(X, targets, val_X, val_targets)
     n, d = X.shape
@@ -404,12 +369,11 @@ def train_lm(X, targets, cfg: TrainConfig = TrainConfig(),
             if stopper.update(v, theta):
                 break
 
-    return _finish(theta, d, h, cfg, standardization, history, stopper)
+    return _finish(theta, d, h, cfg, history, stopper)
 
 
 def train_gdm(X, targets, cfg: TrainConfig = TrainConfig(),
-              val_X=None, val_targets=None,
-              standardization=None) -> AnnModel:
+              val_X=None, val_targets=None) -> AnnModel:
     """Full-batch gradient descent with momentum."""
     X, targets, val_X, val_targets = _check_training_inputs(X, targets, val_X, val_targets)
     n, d = X.shape
@@ -450,13 +414,11 @@ def train_gdm(X, targets, cfg: TrainConfig = TrainConfig(),
             if stopper.update(v, theta):
                 break
 
-    return _finish(theta, d, h, cfg, standardization, history, stopper)
+    return _finish(theta, d, h, cfg, history, stopper)
 
 
 def train_ann(X, targets, cfg: TrainConfig = TrainConfig(),
-              val_X=None, val_targets=None,
-              standardization=None) -> AnnModel:
+              val_X=None, val_targets=None) -> AnnModel:
     """Dispatch on cfg.trainer."""
     fn = train_lm if cfg.trainer is Trainer.LM else train_gdm
-    return fn(X, targets, cfg, val_X=val_X, val_targets=val_targets,
-              standardization=standardization)
+    return fn(X, targets, cfg, val_X=val_X, val_targets=val_targets)

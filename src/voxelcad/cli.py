@@ -3,8 +3,7 @@
 Exit codes: 0 success, 1 domain errors (bad data or configuration), 2
 usage errors (argparse). Diagnostics go to stderr; data and reports go to
 files or stdout. --config loads a JSON RunConfig; explicit flags override
-file values. --threads is validated and recorded, but execution is serial
-(results are identical for any N by construction).
+file values.
 """
 
 from __future__ import annotations
@@ -81,17 +80,15 @@ _OVERRIDES: dict[str, dict] = {
     "val_fraction": dict(flags=["--val-fraction"], type=float,
                          help="validation share of the cohort"),
     "seed": dict(flags=["--seed"], type=int, help="master RNG seed"),
-    "threads": dict(flags=["--threads"], type=int,
-                    help="worker cap; results are independent of N"),
 }
 
-_SYNTH_FIELDS = ["n_ad", "n_hc", "dims", "separation", "noise_sigma", "seed", "threads"]
-_EXTRACT_FIELDS = ["feature_kind", "block_grid", "bins", "threads"]
+_SYNTH_FIELDS = ["n_ad", "n_hc", "dims", "separation", "noise_sigma", "seed"]
+_EXTRACT_FIELDS = ["feature_kind", "block_grid", "bins"]
 _MODEL_FIELDS = ["feature_kind", "block_grid", "bins", "pca_threshold", "pca_prescale",
                  "kernel", "kernel_scale", "C", "svm_tol", "hidden", "activation",
                  "trainer", "max_iters", "lambda_", "lr", "momentum", "goal_sse",
-                 "patience", "seed", "threads"]
-_EVAL_FIELDS = _MODEL_FIELDS[:-2] + ["folds", "val_fraction", "seed", "threads"]
+                 "patience", "seed"]
+_EVAL_FIELDS = _MODEL_FIELDS[:-1] + ["folds", "val_fraction", "seed"]
 
 
 def _add_overrides(parser: argparse.ArgumentParser, fields) -> None:

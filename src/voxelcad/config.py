@@ -58,7 +58,6 @@ class RunConfig:
     val_fraction: float = 0.10
     # global
     seed: int = 0
-    threads: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
@@ -128,8 +127,6 @@ class RunConfig:
             raise ValueError("folds must be >= 2")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError("threads must be >= 1")
         return self
 
     # --- serialization / merging ---

@@ -289,6 +289,9 @@ def cross_validate(manifest_path, pipelines, cfg: RunConfig) -> list[EvalReport]
                 t0 = time.perf_counter()
                 predicted, _ = predict_matrix(model, X[sp.test])
                 pred_time += time.perf_counter() - t0
+                # drop the fold's model now; on VAF features its m-wide
+                # arrays would otherwise stay live through the next fit
+                del model
             except Exception as err:
                 raise EvalError(f"pipeline {pid} fold {i}: {err}") from err
             n_pred += sp.test.size

@@ -8,8 +8,8 @@ Conventions:
     off-diagonal Frobenius norm falls below 1e-12 of the matrix norm, cap
     100 sweeps), eigenvalues sorted non-increasing;
   * eigenvector signs are fixed by making each vector's largest-magnitude
-    entry positive (first such entry on ties), so fitted models serialize
-    deterministically;
+    entry positive (first such entry on ties), so fitted models, and the
+    bundles composed from them, are deterministic;
   * contribution rates divide each eigenvalue by the sum over the whole
     computed spectrum.
 
@@ -23,7 +23,6 @@ than a literal m x m basis (infeasible for voxel-level feature spaces).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,35 +66,6 @@ class PcaModel:
     @property
     def n_features(self) -> int:
         return self.components.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "means": self.means.tolist(),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "components": self.components.tolist(),  # row-major m x r
-            "retained": self.retained,
-            "contribution": self.contribution.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PcaModel":
-        return cls(
-            means=np.array(d["means"]),
-            eigenvalues=np.array(d["eigenvalues"]),
-            components=np.array(d["components"]),
-            retained=int(d["retained"]),
-            contribution=np.array(d["contribution"]),
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "PcaModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def center(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,11 +6,12 @@ Three presets mirror the comparison table:
   PCA-ANN  blocked grayscale statistics -> PCA projection -> ANN
   VAF-SVM  raw voxel intensities -> SVM (no PCA), same kernel preset
 
-The z-score standardizer is always fit on training data only and is stored
-inside the classifier model so a serialized bundle predicts stand-alone.
-PCA itself mean-centers internally; optional unit-variance scaling before
-PCA (pca_prescale) is carried as a separate bundle field so the PCA model
-keeps its plain centered form.
+Every stage is fit on training data only: optional unit-variance scaling
+(pca_prescale), PCA, then a z-score of the projected columns. The
+classifier trains on the staged rows. Together the stages form one affine
+map, so the bundle stores only its composition, x -> x W + b with W of
+shape m x k for the PCA pipelines and a per-feature scale w (x * w + b)
+for VAF-SVM, and prediction applies it in a single step.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import ann, svm
 from .config import RunConfig
 from .features import FeatureKind, block_features, vaf_features
 from .labels import from_sign, to_sign
-from .pca import PcaModel, fit_pca, project
+from .pca import fit_pca, project
 from .volume import Volume
 
 PIPELINES = ("PCA-SVM", "PCA-ANN", "VAF-SVM")
@@ -60,16 +61,23 @@ def apply_standardization(X: np.ndarray, std) -> np.ndarray:
     return (np.asarray(X, dtype=np.float64) - means) / sigmas
 
 
+BUNDLE_VERSION = 2
+
+
 @dataclass(frozen=True)
 class PipelineModel:
-    """Self-contained bundle: feature recipe + optional PCA + classifier."""
+    """Self-contained bundle: feature recipe + affine front end + classifier.
+
+    weight is m x k (PCA pipelines) or a length-m scale (VAF-SVM); offset
+    has one entry per classifier input.
+    """
 
     pipeline: str
     feature_kind: FeatureKind
     block_grid: tuple[int, int, int] | None
     bins: int | None
-    prescale: tuple[np.ndarray, np.ndarray] | None
-    pca: PcaModel | None
+    weight: np.ndarray
+    offset: np.ndarray
     classifier: svm.SvmModel | ann.AnnModel
 
     def to_dict(self) -> dict:
@@ -77,21 +85,26 @@ class PipelineModel:
             clf = {"type": "SVM", "model": self.classifier.to_dict()}
         else:
             clf = {"type": "ANN", "model": self.classifier.to_dict()}
-        means, sigmas = self.prescale if self.prescale else (None, None)
         return {
-            "version": 1,
+            "version": BUNDLE_VERSION,
             "pipeline": self.pipeline,
             "feature_kind": self.feature_kind.value,
             "block_grid": list(self.block_grid) if self.block_grid else None,
             "bins": self.bins,
-            "prescale": None if means is None else
-                {"means": means.tolist(), "sigmas": sigmas.tolist()},
-            "pca": self.pca.to_dict() if self.pca is not None else None,
+            "affine": {"weight": self.weight.tolist(), "offset": self.offset.tolist()},
             "classifier": clf,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineModel":
+        if not isinstance(d, dict):
+            raise ValueError("a bundle must be a JSON object")
+        version = d.get("version")
+        if version != BUNDLE_VERSION:
+            raise ValueError(
+                f"unsupported bundle version {version!r}: this voxelcad reads "
+                f"version {BUNDLE_VERSION} only; train the model again"
+            )
         clf = d["classifier"]
         if clf["type"] == "SVM":
             classifier = svm.SvmModel.from_dict(clf["model"])
@@ -99,15 +112,13 @@ class PipelineModel:
             classifier = ann.AnnModel.from_dict(clf["model"])
         else:
             raise ValueError(f"unknown classifier type {clf['type']!r}")
-        pre = d.get("prescale")
         return cls(
             pipeline=canonical_pipeline(d["pipeline"]),
             feature_kind=FeatureKind(d["feature_kind"]),
             block_grid=tuple(d["block_grid"]) if d.get("block_grid") else None,
             bins=d.get("bins"),
-            prescale=None if pre is None else
-                (np.array(pre["means"]), np.array(pre["sigmas"])),
-            pca=PcaModel.from_dict(d["pca"]) if d.get("pca") is not None else None,
+            weight=np.array(d["affine"]["weight"], dtype=np.float64),
+            offset=np.array(d["affine"]["offset"], dtype=np.float64),
             classifier=classifier,
         )
 
@@ -138,7 +149,6 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     kind = pipeline_feature_kind(pid, cfg)
 
     prescale = None
-    pca_model = None
     if pid in ("PCA-SVM", "PCA-ANN"):
         if cfg.pca_prescale:
             prescale = fit_standardization(X)
@@ -149,21 +159,37 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         X = project(pca_model, X)
         if val_X is not None:
             val_X = project(pca_model, val_X)
+        # W is scaled in place in the buffer of the kept basis columns, so no
+        # second m x k array is made and the PcaModel itself is dropped here
+        weight = pca_model.components[:, :pca_model.retained]
+        shift = pca_model.means
+        if prescale is not None:
+            shift = prescale[0] / prescale[1] + shift
+        offset = -(shift @ weight)
+        if prescale is not None:
+            weight /= prescale[1][:, None]
+        del pca_model
 
-    std = fit_standardization(X)
-    Xs = apply_standardization(X, std)
+    means, sigmas = fit_standardization(X)
+    # compose before Xs exists: the kept (weight, offset) then do not sit
+    # above Xs in the heap and hold its freed pages (peak RSS of VAF-SVM)
+    if pid == "VAF-SVM":
+        weight, offset = 1.0 / sigmas, -means / sigmas
+    else:
+        weight /= sigmas
+        offset = (offset - means) / sigmas
+    Xs = apply_standardization(X, (means, sigmas))
 
     if pid.endswith("SVM"):
         classifier = svm.train_svm(Xs, targets, C=cfg.C, kernel=cfg.kernel_spec(),
-                                   tol=cfg.svm_tol, standardization=std)
+                                   tol=cfg.svm_tol)
     else:
         vXs = vt = None
         if val_X is not None:
-            vXs = apply_standardization(val_X, std)
+            vXs = apply_standardization(val_X, (means, sigmas))
             vt = np.array([to_sign(l) for l in val_labels], dtype=np.float64)
         train_cfg = cfg.train_config(seed=ann_seed)
-        classifier = ann.train_ann(Xs, targets, train_cfg, val_X=vXs,
-                                   val_targets=vt, standardization=std)
+        classifier = ann.train_ann(Xs, targets, train_cfg, val_X=vXs, val_targets=vt)
 
     grayscale = kind is FeatureKind.GRAYSCALE
     return PipelineModel(
@@ -171,27 +197,21 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         feature_kind=kind,
         block_grid=tuple(cfg.block_grid) if grayscale else None,
         bins=cfg.bins if grayscale else None,
-        prescale=prescale,
-        pca=pca_model,
+        weight=weight,
+        offset=offset,
         classifier=classifier,
     )
 
 
-def _model_space(model: PipelineModel, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if model.prescale is not None:
-        X = apply_standardization(X, model.prescale)
-    if model.pca is not None:
-        X = project(model.pca, X)
-    std = model.classifier.standardization
-    if std is not None:
-        X = apply_standardization(X, std)
-    return X
-
-
 def predict_matrix(model: PipelineModel, X: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Labels and decision scores for raw feature rows (pre-PCA space)."""
-    Z = _model_space(model, X)
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != model.weight.shape[0]:
+        raise ValueError(
+            f"X has {X.shape[1]} features, the bundle expects {model.weight.shape[0]}"
+        )
+    W = model.weight
+    Z = (X @ W if W.ndim == 2 else X * W) + model.offset
     if isinstance(model.classifier, svm.SvmModel):
         scores = svm.decision_batch(model.classifier, Z)
     else:

@@ -14,20 +14,17 @@ The bias is the median of y_i - sum_j a_j y_j k(x_i, x_j) over free support
 vectors (0 < a < C); with no free vectors it is the midpoint of the
 feasible interval implied by the bound vectors.
 
-Models store only the vectors with a_i > 1e-8. decision/classify expect
-inputs in the space the model was trained in; when a standardization is
-attached (means, sigmas), apply it first - pipeline.predict does.
+Models store only the vectors with a_i > 1e-8. decision_batch expects rows
+in the space the model was trained in; for a pipeline that is the output of
+its affine front end, which pipeline.predict_matrix applies first.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
-
-from .labels import from_sign
 
 _SV_EPS = 1e-8          # support-vector retention threshold on alpha
 _BOUND_SNAP = 1e-10     # snap alphas this close to 0/C (relative to C)
@@ -50,17 +47,6 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind is KernelKind.GAUSSIAN and not self.scale > 0:
             raise ValueError("Gaussian kernel scale must be > 0")
-
-
-def kernel_eval(k: KernelSpec, x, z) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if x.shape != z.shape:
-        raise ValueError(f"kernel inputs differ in dimension: {x.shape} vs {z.shape}")
-    if k.kind is KernelKind.LINEAR:
-        return float(x @ z)
-    d = x - z
-    return float(np.exp(-(d @ d) / (k.scale * k.scale)))
 
 
 def gram_matrix(k: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -86,7 +72,6 @@ class SvmModel:
     bias: float
     kernel: KernelSpec
     C: float
-    standardization: tuple[np.ndarray, np.ndarray] | None = None  # (means, sigmas)
 
     def __post_init__(self):
         sv = np.atleast_2d(np.asarray(self.support_vectors, dtype=np.float64))
@@ -103,9 +88,7 @@ class SvmModel:
         object.__setattr__(self, "labels", y)
 
     def to_dict(self) -> dict:
-        means, sigmas = self.standardization if self.standardization else (None, None)
         return {
-            "version": 1,
             "kernel": self.kernel.kind.value,
             "scale": self.kernel.scale if self.kernel.kind is KernelKind.GAUSSIAN else None,
             "C": self.C,
@@ -113,15 +96,12 @@ class SvmModel:
             "support_vectors": self.support_vectors.tolist(),
             "alphas": self.alphas.tolist(),
             "labels": self.labels.tolist(),
-            "standardization": None if means is None else
-                {"means": means.tolist(), "sigmas": sigmas.tolist()},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SvmModel":
         kind = KernelKind(d["kernel"])
         scale = d["scale"] if d["scale"] is not None else 2.8
-        std = d.get("standardization")
         return cls(
             support_vectors=np.array(d["support_vectors"], dtype=np.float64),
             alphas=np.array(d["alphas"], dtype=np.float64),
@@ -129,18 +109,7 @@ class SvmModel:
             bias=float(d["bias"]),
             kernel=KernelSpec(kind, scale),
             C=float(d["C"]),
-            standardization=None if std is None else
-                (np.array(std["means"]), np.array(std["sigmas"])),
         )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "SvmModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def solve_dual(X: np.ndarray, y: np.ndarray, C: float, kernel: KernelSpec,
@@ -241,13 +210,10 @@ def dual_objective(K: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
 
 def train_svm(X: np.ndarray, y: np.ndarray, C: float = 1.0,
               kernel: KernelSpec = KernelSpec(), tol: float = 1e-3,
-              max_iter: int | None = None,
-              standardization: tuple[np.ndarray, np.ndarray] | None = None
-              ) -> SvmModel:
+              max_iter: int | None = None) -> SvmModel:
     """solve_dual + support-vector filtering into an SvmModel.
 
-    X must already be in the model's input space; `standardization` is the
-    (means, sigmas) pair that produced it, carried for serialization.
+    X must already be in the model's input space.
     """
     alpha, bias = solve_dual(X, y, C, kernel, tol, max_iter)
     keep = alpha > _SV_EPS
@@ -258,31 +224,13 @@ def train_svm(X: np.ndarray, y: np.ndarray, C: float = 1.0,
         bias=bias,
         kernel=kernel,
         C=C,
-        standardization=standardization,
     )
 
 
-def decision(model: SvmModel, x) -> float:
-    """f(x) = sum_i a_i y_i k(x, x_i) + bias."""
-    x = np.asarray(x, dtype=np.float64)
-    if model.support_vectors.shape[0] == 0:
-        return float(model.bias)
-    if x.shape != (model.support_vectors.shape[1],):
-        raise ValueError(
-            f"x has dimension {x.shape}, support vectors have {model.support_vectors.shape[1]}"
-        )
-    k_row = gram_matrix(model.kernel, x[None, :], model.support_vectors)[0]
-    return float(k_row @ (model.alphas * model.labels) + model.bias)
-
-
 def decision_batch(model: SvmModel, X: np.ndarray) -> np.ndarray:
+    """f(x) = sum_i a_i y_i k(x, x_i) + bias for every row x of X."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if model.support_vectors.shape[0] == 0:
         return np.full(X.shape[0], model.bias)
     K = gram_matrix(model.kernel, X, model.support_vectors)
     return K @ (model.alphas * model.labels) + model.bias
-
-
-def classify(model: SvmModel, x) -> str:
-    """Sign rule on the decision value: > 0 is AD, <= 0 is HC."""
-    return from_sign(decision(model, x))

@@ -14,6 +14,7 @@ regardless of generation order or concurrency.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,10 +54,14 @@ class SynthConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
+@functools.lru_cache(maxsize=4)
 def ellipsoid_mask(dims: tuple[int, int, int]) -> np.ndarray:
     """Boolean (nx, ny, nz) mask of the shifted region: a grid-centered
     ellipsoid whose semi-axes are the same fraction of each half-extent,
-    sized so the enclosed volume is ~10% of the voxels."""
+    sized so the enclosed volume is ~10% of the voxels.
+
+    Cached per dims and read-only: every AD subject of a cohort shares it.
+    """
     nx, ny, nz = dims
     # (pi/6) * r^3 = fraction, with semi-axis r * dim/2 per axis
     r = (6.0 * _ELLIPSOID_VOXEL_FRACTION / np.pi) ** (1.0 / 3.0)
@@ -64,7 +69,9 @@ def ellipsoid_mask(dims: tuple[int, int, int]) -> np.ndarray:
     y = np.arange(ny)[None, :, None] - (ny - 1) / 2.0
     z = np.arange(nz)[None, None, :] - (nz - 1) / 2.0
     ax, ay, az = (r * nx / 2.0, r * ny / 2.0, r * nz / 2.0)
-    return (x / ax) ** 2 + (y / ay) ** 2 + (z / az) ** 2 <= 1.0
+    mask = (x / ax) ** 2 + (y / ay) ** 2 + (z / az) ** 2 <= 1.0
+    mask.flags.writeable = False
+    return mask
 
 
 def make_subject(cfg: SynthConfig, index: int) -> Volume:
@@ -79,11 +86,12 @@ def make_subject(cfg: SynthConfig, index: int) -> Volume:
     nx, ny, nz = cfg.dims
     vox = rng.normal(_BASE_INTENSITY, cfg.noise_sigma, size=(nx, ny, nz))
     if is_ad:
-        vox[ellipsoid_mask(cfg.dims)] -= cfg.separation * cfg.noise_sigma
+        vox[ellipsoid_mask(tuple(cfg.dims))] -= cfg.separation * cfg.noise_sigma
     np.clip(vox, 0.0, 1.0, out=vox)
     subject_id, _ = subject_name(cfg, index)
-    # x-fastest flat order matches the RVOL payload convention
-    flat = vox.transpose(2, 1, 0).ravel()
+    # x-fastest flat order matches the RVOL payload convention; converting
+    # straight to the stored float32 skips a float64 copy of the volume
+    flat = np.ascontiguousarray(vox.transpose(2, 1, 0), dtype="<f4").ravel()
     return Volume(dims=cfg.dims, voxels=flat, modality=Modality.SYNTH,
                   subject_id=subject_id)
 

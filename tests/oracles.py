@@ -2,13 +2,17 @@
 
 These deliberately avoid the library's own algorithms: eigenvalues come
 from bisection on inertia counts, the SVM dual is solved by exhaustive
-active-set enumeration (exact for tiny problems), and derivatives come
-from central finite differences.
+active-set enumeration (exact for tiny problems), derivatives come from
+central finite differences, and kernels, SVM decisions and network outputs
+are evaluated one sample at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from voxelcad.ann import Activation
+from voxelcad.svm import KernelKind
 
 
 # --- symmetric eigenvalues via inertia bisection ---------------------------
@@ -57,6 +61,38 @@ def eigenvalues_bisect(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
                 lo = mid
         eigs.append(0.5 * (lo + hi))
     return np.array(sorted(eigs, reverse=True))
+
+
+# --- single-sample kernel, SVM decision and network output -------------------
+
+def kernel_eval(k, x, z) -> float:
+    """k(x, z) for one pair of vectors."""
+    x = np.asarray(x, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if x.shape != z.shape:
+        raise ValueError(f"kernel inputs differ in dimension: {x.shape} vs {z.shape}")
+    if k.kind is KernelKind.LINEAR:
+        return float(x @ z)
+    d = x - z
+    return float(np.exp(-(d @ d) / (k.scale * k.scale)))
+
+
+def decision(model, x) -> float:
+    """f(x) = sum_i a_i y_i k(x, x_i) + bias, one support vector at a time."""
+    total = float(model.bias)
+    for sv, a, y in zip(model.support_vectors, model.alphas, model.labels):
+        total += a * y * kernel_eval(model.kernel, x, sv)
+    return total
+
+
+def forward(model, x) -> float:
+    """w2 . act(W1 x + b1) + b2 for one input vector."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (model.n_inputs,):
+        raise ValueError(f"x has shape {x.shape}, the network takes {model.n_inputs} inputs")
+    z = model.w1 @ x + model.b1
+    a = np.tanh(z) if model.activation is Activation.TANSIG else np.maximum(z, 0.0)
+    return float(model.w2 @ a + model.b2)
 
 
 # --- SVM dual via exhaustive active-set enumeration -------------------------

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, fd_jacobian
+from oracles import fd_gradient, fd_jacobian, forward
 from voxelcad.ann import (Activation, AnnError, AnnModel, TrainConfig,
                           Trainer, _init_params, _j_v, _jt_v, _forward_parts,
-                          _unpack, classify, forward, forward_batch, gradient,
-                          jacobian, tansig, train_ann, train_gdm, train_lm)
+                          _unpack, forward_batch, gradient, jacobian, tansig,
+                          train_ann, train_gdm, train_lm)
+from voxelcad.labels import from_sign
 
 LINE_X = np.array([[-1.0], [-0.5], [0.0], [0.5], [1.0]])
 LINE_T = 0.5 * LINE_X[:, 0]
@@ -25,12 +28,11 @@ def test_tansig_examples():
 
 def test_forward_hand_examples():
     m = _model([[1.0, 0.0]], [0.0], [1.0], 0.0)
-    assert abs(forward(m, [1.0, 0.0]) - 0.761594) <= 1e-6
+    assert abs(forward_batch(m, [[1.0, 0.0]])[0] - 0.761594) <= 1e-6
     r = _model([[1.0, 0.0]], [0.0], [1.0], 0.0, Activation.RELU)
-    assert forward(r, [-1.0, 0.0]) == 0.0
-    assert forward(r, [2.0, 7.0]) == 2.0
+    assert np.array_equal(forward_batch(r, [[-1.0, 0.0], [2.0, 7.0]]), [0.0, 2.0])
     zero = _model(np.zeros((3, 2)), np.zeros(3), np.zeros(3), 0.0)
-    assert forward(zero, [4.0, -4.0]) == 0.0
+    assert forward_batch(zero, [[4.0, -4.0]])[0] == 0.0
 
 
 def test_forward_batch_matches_forward(rng):
@@ -40,18 +42,16 @@ def test_forward_batch_matches_forward(rng):
     got = forward_batch(m, X)
     assert np.allclose(got, [forward(m, x) for x in X], atol=1e-12)
     with pytest.raises(ValueError):
-        forward(m, [1.0, 2.0])
-    with pytest.raises(ValueError):
         forward_batch(m, np.zeros((2, 5)))
 
 
-def test_classify_sign_rule():
-    def biased(b2):
-        return _model([[0.0]], [0.0], [0.0], b2)
+def test_sign_rule_ties_go_to_hc():
+    def label(b2):
+        return from_sign(forward_batch(_model([[0.0]], [0.0], [0.0], b2), [[3.0]])[0])
 
-    assert classify(biased(0.9), [3.0]) == "AD"
-    assert classify(biased(-0.9), [3.0]) == "HC"
-    assert classify(biased(0.0), [3.0]) == "HC"
+    assert label(0.9) == "AD"
+    assert label(-0.9) == "HC"
+    assert label(0.0) == "HC"
 
 
 def test_model_invariants():
@@ -255,19 +255,17 @@ def test_input_validation():
                  val_targets=np.zeros(2))
 
 
-def test_json_round_trip(tmp_path, rng):
+def test_json_round_trip(rng):
     model = AnnModel(w1=rng.normal(size=(3, 2)), b1=rng.normal(size=3),
                      w2=rng.normal(size=3), b2=0.7,
-                     activation=Activation.RELU,
-                     standardization=(np.zeros(2), np.ones(2)))
-    path = tmp_path / "ann.json"
-    model.save(path)
-    back = AnnModel.load(path)
+                     activation=Activation.RELU)
+    d = json.loads(json.dumps(model.to_dict()))
+    back = AnnModel.from_dict(d)
     assert back.activation is Activation.RELU
     assert np.array_equal(back.w1, model.w1)
     assert np.array_equal(back.b1, model.b1)
     assert np.array_equal(back.w2, model.w2)
     assert back.b2 == model.b2
-    assert np.array_equal(back.standardization[1], model.standardization[1])
-    probe = rng.normal(size=2)
-    assert forward(back, probe) == forward(model, probe)
+    probe = rng.normal(size=(3, 2))
+    assert np.array_equal(forward_batch(back, probe), forward_batch(model, probe))
+    assert "version" not in d

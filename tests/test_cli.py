@@ -113,6 +113,30 @@ def test_predict_missing_volume_exits_1(svm_bundle, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("version", [1, 99])
+def test_predict_refuses_other_bundle_versions(version, svm_bundle, small_dataset,
+                                               tmp_path, capsys):
+    manifest, _ = small_dataset
+    bundle = json.loads(svm_bundle.read_text())
+    bundle["version"] = version
+    path = tmp_path / f"v{version}.json"
+    path.write_text(json.dumps(bundle))
+    code = dispatch(["predict", "--model", str(path),
+                     "--volume", str(read_manifest(manifest)[0].path)])
+    assert code == 1
+    assert f"unsupported bundle version {version}" in capsys.readouterr().err
+
+
+def test_threads_config_key_is_refused(tmp_path, small_dataset, capsys):
+    manifest, _ = small_dataset
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"threads": 2}))
+    code = dispatch(["extract", "--manifest", str(manifest), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "f.csv")])
+    assert code == 1
+    assert "unknown config key 'threads'" in capsys.readouterr().err
+
+
 def test_eval_writes_reports(tmp_path, small_dataset, capsys):
     manifest, _ = small_dataset
     report = tmp_path / "report.json"

@@ -70,7 +70,6 @@ def test_factory_error_messages():
     dict(lambda_=-0.5),
     dict(folds=1),
     dict(val_fraction=1.0),
-    dict(threads=0),
 ])
 def test_validate_rejects_bad_values(bad):
     with pytest.raises(ValueError):

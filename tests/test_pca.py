@@ -215,18 +215,6 @@ def test_unknown_method():
         fit_pca(np.eye(3), method="qr")
 
 
-def test_model_json_round_trip(tmp_path, rng):
-    model = fit_pca(rng.normal(size=(10, 4)), cum_threshold=0.9)
-    path = tmp_path / "pca.json"
-    model.save(path)
-    back = PcaModel.load(path)
-    assert np.array_equal(back.means, model.means)
-    assert np.array_equal(back.eigenvalues, model.eigenvalues)
-    assert np.array_equal(back.components, model.components)
-    assert back.retained == model.retained
-    assert np.array_equal(back.contribution, model.contribution)
-
-
 def test_model_invariants():
     good = dict(means=np.zeros(2), eigenvalues=np.array([2.0, 1.0]),
                 components=np.eye(2), retained=1,

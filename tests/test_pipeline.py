@@ -1,16 +1,19 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from voxelcad.ann import AnnModel
+from voxelcad.ann import AnnModel, forward_batch
 from voxelcad.features import FeatureKind
+from voxelcad.labels import from_sign
 from voxelcad.manifest import read_manifest
+from voxelcad.pca import fit_pca, project
 from voxelcad.pipeline import (PIPELINES, PipelineModel, apply_standardization,
                                canonical_pipeline, fit_pipeline,
                                fit_standardization, pipeline_feature_kind,
                                predict_matrix, predict_volume)
-from voxelcad.svm import SvmModel
+from voxelcad.svm import SvmModel, decision_batch
 from voxelcad.volume import load_volume
 
 
@@ -55,8 +58,10 @@ def _fit(pid, fm, cfg, **kw):
 
 def test_fit_pipeline_bundles(small_grayscale, small_vaf, small_runconfig):
     cfg = small_runconfig
+    m = small_grayscale.values.shape[1]
     svm_model = _fit("PCA-SVM", small_grayscale, cfg)
-    assert svm_model.pca is not None and svm_model.prescale is None
+    k = svm_model.classifier.support_vectors.shape[1]
+    assert svm_model.weight.shape == (m, k) and svm_model.offset.shape == (k,)
     assert isinstance(svm_model.classifier, SvmModel)
     assert svm_model.feature_kind is FeatureKind.GRAYSCALE
     assert svm_model.block_grid == tuple(cfg.block_grid)
@@ -64,10 +69,11 @@ def test_fit_pipeline_bundles(small_grayscale, small_vaf, small_runconfig):
 
     ann_model = _fit("PCA-ANN", small_grayscale, cfg, ann_seed=1)
     assert isinstance(ann_model.classifier, AnnModel)
-    assert ann_model.pca is not None
+    assert ann_model.weight.shape == (m, ann_model.classifier.n_inputs)
 
     vaf_model = _fit("VAF-SVM", small_vaf, cfg)
-    assert vaf_model.pca is None and vaf_model.prescale is None
+    m_vaf = small_vaf.values.shape[1]
+    assert vaf_model.weight.shape == vaf_model.offset.shape == (m_vaf,)
     assert vaf_model.feature_kind is FeatureKind.VAF
     assert vaf_model.block_grid is None and vaf_model.bins is None
 
@@ -110,7 +116,8 @@ def test_validation_slice_feeds_ann_early_stopping(small_grayscale,
 def test_prescale_is_carried_in_the_bundle(small_grayscale, small_runconfig):
     cfg = dataclasses.replace(small_runconfig, pca_prescale=True)
     model = _fit("PCA-SVM", small_grayscale, cfg)
-    assert model.prescale is not None
+    plain = _fit("PCA-SVM", small_grayscale, small_runconfig)
+    assert not np.array_equal(model.weight, plain.weight)
     labels, _ = predict_matrix(model, small_grayscale.values)
     assert set(labels) <= {"AD", "HC"}
 
@@ -129,6 +136,33 @@ def test_bundle_round_trip_preserves_predictions(tmp_path, small_grayscale,
         labels_b, scores_b = predict_matrix(back, fm.values)
         assert labels_a == labels_b
         assert np.array_equal(scores_a, scores_b)
+        d = json.loads(path.read_text())
+        assert d["version"] == 2
+        assert set(d) == {"version", "pipeline", "feature_kind", "block_grid",
+                          "bins", "affine", "classifier"}
+        assert not set(d["classifier"]["model"]) & {"standardization", "version"}
+
+
+@pytest.mark.parametrize("pid, prescale", [("PCA-SVM", False), ("PCA-ANN", False),
+                                           ("VAF-SVM", False), ("PCA-SVM", True)])
+def test_composed_front_end_matches_the_staged_one(pid, prescale, small_grayscale,
+                                                   small_vaf, small_runconfig):
+    cfg = dataclasses.replace(small_runconfig, pca_prescale=prescale)
+    fm = small_vaf if pid == "VAF-SVM" else small_grayscale
+    model = _fit(pid, fm, cfg)
+    X = fm.values
+    if pid != "VAF-SVM":
+        if prescale:
+            X = apply_standardization(X, fit_standardization(X))
+        X = project(fit_pca(X, cum_threshold=cfg.pca_threshold), X)
+    Z = apply_standardization(X, fit_standardization(X))
+    clf = model.classifier
+    want = decision_batch(clf, Z) if isinstance(clf, SvmModel) else forward_batch(clf, Z)
+    labels, scores = predict_matrix(model, fm.values)
+    assert np.max(np.abs(scores - want)) <= 1e-12 * np.max(np.abs(want))
+    assert labels == [from_sign(s) for s in want]
+    if pid == "VAF-SVM":
+        assert model.weight.shape == (fm.values.shape[1],)
 
 
 def test_from_dict_rejects_unknown_classifier(small_grayscale, small_runconfig):
@@ -136,6 +170,11 @@ def test_from_dict_rejects_unknown_classifier(small_grayscale, small_runconfig):
     d["classifier"]["type"] = "TREE"
     with pytest.raises(ValueError, match="classifier type"):
         PipelineModel.from_dict(d)
+
+
+def test_from_dict_rejects_a_non_object():
+    with pytest.raises(ValueError, match="JSON object"):
+        PipelineModel.from_dict([1, 2])
 
 
 def test_predict_matrix_checks_width(small_grayscale, small_vaf,

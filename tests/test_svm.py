@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from oracles import decision, kernel_eval
+from voxelcad.labels import from_sign
 from voxelcad.svm import (KernelKind, KernelSpec, SvmError, SvmModel,
-                          classify, decision, decision_batch, dual_objective,
-                          gram_matrix, kernel_eval, solve_dual, train_svm)
+                          decision_batch, dual_objective, gram_matrix,
+                          solve_dual, train_svm)
 
 LIN = KernelSpec(KernelKind.LINEAR, 1.0)
 GAUSS = KernelSpec(KernelKind.GAUSSIAN, 2.8)
@@ -60,9 +62,8 @@ def test_two_point_analytic_solution():
     assert abs(bias - (-1.0)) <= 1e-6
     model = _two_point_model()
     # f(x) = x[0] - 1
-    assert abs(decision(model, [2.0, 0.0]) - 1.0) <= 1e-6
-    assert abs(decision(model, [0.0, 0.0]) + 1.0) <= 1e-6
-    assert abs(decision(model, [1.0, 5.0])) <= 1e-6
+    f = decision_batch(model, [[2.0, 0.0], [0.0, 0.0], [1.0, 5.0]])
+    assert np.max(np.abs(f - [1.0, -1.0, 0.0])) <= 1e-6
 
 
 def test_separable_with_huge_C_leaves_no_bound_alphas(rng):
@@ -141,8 +142,8 @@ def test_linear_scale_invariance(rng):
     a = 3.0
     base = train_svm(X, y, C=1.0, kernel=LIN, tol=1e-6)
     scaled = train_svm(a * X, y, C=1.0 / a**2, kernel=LIN, tol=1e-6)
-    got = [classify(scaled, a * p) for p in probes]
-    want = [classify(base, p) for p in probes]
+    got = [from_sign(s) for s in decision_batch(scaled, a * probes)]
+    want = [from_sign(s) for s in decision_batch(base, probes)]
     assert got == want
 
 
@@ -159,18 +160,21 @@ def test_train_filters_support_vectors(rng):
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_classify_sign_rule():
+def test_sign_rule_ties_go_to_hc():
     empty = dict(support_vectors=np.zeros((0, 2)), alphas=np.zeros(0),
                  labels=np.zeros(0), kernel=LIN, C=1.0)
-    assert classify(SvmModel(bias=0.3, **empty), [9.0, 9.0]) == "AD"
-    assert classify(SvmModel(bias=-0.3, **empty), [9.0, 9.0]) == "HC"
-    assert classify(SvmModel(bias=0.0, **empty), [9.0, 9.0]) == "HC"
+
+    def label(bias):
+        return from_sign(decision_batch(SvmModel(bias=bias, **empty), [[9.0, 9.0]])[0])
+
+    assert label(0.3) == "AD"
+    assert label(-0.3) == "HC"
+    assert label(0.0) == "HC"
 
 
 def test_empty_support_set_decision_is_bias():
     model = SvmModel(support_vectors=np.zeros((0, 3)), alphas=np.zeros(0),
                      labels=np.zeros(0), bias=0.25, kernel=GAUSS, C=1.0)
-    assert decision(model, [1.0, 2.0, 3.0]) == 0.25
     assert np.array_equal(decision_batch(model, np.zeros((4, 3))),
                           np.full(4, 0.25))
 
@@ -178,7 +182,7 @@ def test_empty_support_set_decision_is_bias():
 def test_decision_checks_dimension():
     model = _two_point_model()
     with pytest.raises(ValueError):
-        decision(model, [1.0, 2.0, 3.0])
+        decision_batch(model, [[1.0, 2.0, 3.0]])
 
 
 def test_model_invariants():
@@ -193,24 +197,20 @@ def test_model_invariants():
                  labels=np.array([1.0]), bias=0.0, kernel=LIN, C=1.0)
 
 
-def test_json_round_trip(tmp_path, rng):
+def test_json_round_trip(rng):
     X = rng.normal(size=(8, 2))
     y = np.array([1.0, -1.0] * 4)
-    model = train_svm(X, y, C=1.0, kernel=GAUSS,
-                      standardization=(np.zeros(2), np.ones(2)))
-    path = tmp_path / "svm.json"
-    model.save(path)
-    back = SvmModel.load(path)
+    model = train_svm(X, y, C=1.0, kernel=GAUSS)
+    d = json.loads(json.dumps(model.to_dict()))
+    back = SvmModel.from_dict(d)
     assert back.kernel == model.kernel
     assert back.C == model.C and back.bias == model.bias
     assert np.array_equal(back.support_vectors, model.support_vectors)
     assert np.array_equal(back.alphas, model.alphas)
     assert np.array_equal(back.labels, model.labels)
-    assert np.array_equal(back.standardization[0], model.standardization[0])
-    probe = rng.normal(size=2)
-    assert decision(back, probe) == decision(model, probe)
-    d = json.loads(path.read_text())
-    assert d["version"] == 1 and d["kernel"] == "GAUSSIAN"
+    probe = rng.normal(size=(3, 2))
+    assert np.array_equal(decision_batch(back, probe), decision_batch(model, probe))
+    assert d["kernel"] == "GAUSSIAN" and "version" not in d
 
 
 def test_dual_objective_matches_definition(rng):
