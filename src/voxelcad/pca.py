@@ -4,9 +4,8 @@ contribution rates, component selection and projection.
 Conventions:
   * covariance uses the unbiased divisor n-1, so the variance of the i-th
     projected training column equals eigenvalue i;
-  * the symmetric eigensolver is cyclic Jacobi (sweeps until the
-    off-diagonal Frobenius norm falls below 1e-12 of the matrix norm, cap
-    100 sweeps), eigenvalues sorted non-increasing;
+  * the symmetric eigensolver is LAPACK's, through numpy.linalg.eigh;
+    eigenvalues are re-sorted non-increasing with a stable sort;
   * eigenvector signs are fixed by making each vector's largest-magnitude
     entry positive (first such entry on ties), so fitted models, and the
     bundles composed from them, are deterministic;
@@ -28,8 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _EIG_NEG_TOL = 1e-9     # tolerated negative round-off, relative to max |eigenvalue|
-_SWEEP_TOL = 1e-12      # off-diagonal Frobenius target, relative to ||P||_F
-_MAX_SWEEPS = 100
 _THRESHOLD_SLACK = 1e-12  # select_components cumulative-sum slack
 
 
@@ -89,54 +86,6 @@ def covariance(Xc: np.ndarray) -> np.ndarray:
     return upper + np.triu(P, 1).T
 
 
-def _jacobi(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi on a symmetric matrix; returns (diagonal, rotations V)
-    with A = V diag V^T, unsorted."""
-    A = A.copy()
-    n = A.shape[0]
-    V = np.eye(n)
-    if n == 1:
-        return np.array([A[0, 0]]), V
-    norm_f = np.linalg.norm(A)
-    if norm_f == 0.0:
-        return np.zeros(n), V
-    target = _SWEEP_TOL * norm_f
-    # rotations below this leave too little off-diagonal mass to matter
-    skip = target / n
-    for _ in range(_MAX_SWEEPS):
-        off = A.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.linalg.norm(off) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) < skip:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    return np.diagonal(A).copy(), V
-
-
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip columns so each one's largest-magnitude entry (first on ties)
     is positive."""
@@ -156,7 +105,7 @@ def eigen_symmetric(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = np.max(np.abs(P)) if P.size else 0.0
     if scale > 0.0 and np.max(np.abs(P - P.T)) > 1e-10 * scale:
         raise ValueError("P is not symmetric within tolerance")
-    eigenvalues, vectors = _jacobi(P)
+    eigenvalues, vectors = np.linalg.eigh(P)
     order = np.argsort(-eigenvalues, kind="stable")
     return eigenvalues[order], _fix_signs(vectors[:, order])
 

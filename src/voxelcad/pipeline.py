@@ -64,6 +64,22 @@ def apply_standardization(X: np.ndarray, std) -> np.ndarray:
 BUNDLE_VERSION = 2
 
 
+def _json_object(value, field: str) -> dict:
+    """A bundle field that must be a JSON object; a ValueError names it."""
+    if not isinstance(value, dict):
+        raise ValueError(f"bundle field '{field}' must be a JSON object, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _json_floats(value, field: str) -> np.ndarray:
+    """A bundle field read as a float64 array; a ValueError names it."""
+    try:
+        return np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"bundle field '{field}' must be a numeric array") from None
+
+
 @dataclass(frozen=True)
 class PipelineModel:
     """Self-contained bundle: feature recipe + affine front end + classifier.
@@ -105,20 +121,27 @@ class PipelineModel:
                 f"unsupported bundle version {version!r}: this voxelcad reads "
                 f"version {BUNDLE_VERSION} only; train the model again"
             )
-        clf = d["classifier"]
+        clf = _json_object(d["classifier"], "classifier")
+        model = _json_object(clf["model"], "classifier.model")
         if clf["type"] == "SVM":
-            classifier = svm.SvmModel.from_dict(clf["model"])
+            classifier = svm.SvmModel.from_dict(model)
         elif clf["type"] == "ANN":
-            classifier = ann.AnnModel.from_dict(clf["model"])
+            classifier = ann.AnnModel.from_dict(model)
         else:
             raise ValueError(f"unknown classifier type {clf['type']!r}")
+        affine = _json_object(d["affine"], "affine")
+        weight = _json_floats(affine["weight"], "affine.weight")
+        offset = _json_floats(affine["offset"], "affine.offset")
+        if weight.ndim not in (1, 2) or offset.shape != weight.shape[-1:]:
+            raise ValueError(f"bundle field 'affine' has a {weight.shape} weight "
+                             f"and a {offset.shape} offset that do not compose")
         return cls(
             pipeline=canonical_pipeline(d["pipeline"]),
             feature_kind=FeatureKind(d["feature_kind"]),
             block_grid=tuple(d["block_grid"]) if d.get("block_grid") else None,
             bins=d.get("bins"),
-            weight=np.array(d["affine"]["weight"], dtype=np.float64),
-            offset=np.array(d["affine"]["offset"], dtype=np.float64),
+            weight=weight,
+            offset=offset,
             classifier=classifier,
         )
 

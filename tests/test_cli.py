@@ -1,11 +1,14 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voxelcad
 from voxelcad import __version__
 from voxelcad.cli import dispatch
 from voxelcad.features import (FeatureKind, build_feature_matrix,
@@ -23,9 +26,17 @@ def svm_bundle(tmp_path_factory, small_dataset):
     return out
 
 
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process that imports this checkout's package."""
+    src = str(Path(voxelcad.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "voxelcad.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def test_version_subprocess():
-    proc = subprocess.run([sys.executable, "-m", "voxelcad.cli", "--version"],
-                          capture_output=True, text=True)
+    proc = _run_cli("--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"voxelcad {__version__}"
 
@@ -125,6 +136,30 @@ def test_predict_refuses_other_bundle_versions(version, svm_bundle, small_datase
                      "--volume", str(read_manifest(manifest)[0].path)])
     assert code == 1
     assert f"unsupported bundle version {version}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("classifier", [1], "bundle field 'classifier' must be a JSON object"),
+    ("affine", [1], "bundle field 'affine' must be a JSON object"),
+    ("affine.weight", {"a": 1}, "bundle field 'affine.weight' must be a numeric array"),
+    ("affine.offset", [1], "bundle field 'affine' has a"),
+], ids=["classifier", "affine", "affine.weight", "affine.offset"])
+def test_predict_refuses_a_malformed_bundle(field, value, message, svm_bundle,
+                                            small_dataset, tmp_path):
+    manifest, _ = small_dataset
+    bundle = json.loads(svm_bundle.read_text())
+    *parents, key = field.split(".")
+    target = bundle
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bundle))
+    proc = _run_cli("predict", "--model", str(path),
+                    "--volume", str(read_manifest(manifest)[0].path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {message}")
 
 
 def test_threads_config_key_is_refused(tmp_path, small_dataset, capsys):

@@ -64,12 +64,17 @@ def test_eigen_rank_one():
 
 
 def test_eigen_identity_degenerate():
-    P = np.eye(3)
-    vals, vecs = eigen_symmetric(P)
-    assert np.allclose(vals, [1.0, 1.0, 1.0], atol=1e-12)
-    assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) < 1e-8
-    res = P @ vecs - vecs * vals
-    assert np.max(np.abs(res)) < 1e-8 * 2
+    # repeated eigenvalues, plus the 1x1 and all-zero edge cases
+    for P, want in ((np.eye(3), [1.0, 1.0, 1.0]),
+                    (np.array([[-2.5]]), [-2.5]),
+                    (np.zeros((3, 3)), [0.0, 0.0, 0.0])):
+        m = P.shape[0]
+        vals, vecs = eigen_symmetric(P)
+        assert np.allclose(vals, want, atol=1e-12)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(m))) < 1e-8
+        assert np.all(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(m)] > 0.0)
+        res = P @ vecs - vecs * vals
+        assert np.max(np.abs(res)) < 1e-8 * 2
 
 
 def test_eigen_sign_convention(rng):
