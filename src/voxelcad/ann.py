@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bundlefields import array_field, number_field
+
 _MU_FLOOR = 1e-300      # keeps the damping term a normal float
 _DIVERGENCE_LOSS = 1e12
 
@@ -129,12 +131,13 @@ class AnnModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AnnModel":
+    def from_dict(cls, d: dict, path: str = "model") -> "AnnModel":
+        """Inverse of to_dict; path locates d in the bundle, for error messages."""
         return cls(
-            w1=np.array(d["w1"], dtype=np.float64),
-            b1=np.array(d["b1"], dtype=np.float64),
-            w2=np.array(d["w2"], dtype=np.float64),
-            b2=float(d["b2"]),
+            w1=array_field(d["w1"], f"{path}.w1", (2,)),
+            b1=array_field(d["b1"], f"{path}.b1", (1,)),
+            w2=array_field(d["w2"], f"{path}.w2", (1,)),
+            b2=number_field(d["b2"], f"{path}.b2"),
             activation=Activation(d["activation"]),
         )
 

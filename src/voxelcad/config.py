@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .ann import Activation, TrainConfig, Trainer
-from .features import DEFAULT_BINS, DEFAULT_BLOCK_GRID, FeatureKind
+from .features import DEFAULT_BINS, DEFAULT_BLOCK_GRID, FeatureKind, check_recipe
 from .svm import KernelKind, KernelSpec
 from .synth import (DEFAULT_DIMS, DEFAULT_NOISE_SIGMA, DEFAULT_SEPARATION,
                     SynthConfig)
@@ -115,8 +115,7 @@ class RunConfig:
         self.feature_kind_enum()
         self.kernel_spec()
         self.train_config()
-        if self.bins < 1:
-            raise ValueError("bins must be >= 1")
+        check_recipe(self.block_grid, self.bins)
         if not 0.0 < self.pca_threshold <= 1.0:
             raise ValueError("pca_threshold must lie in (0, 1]")
         if not self.C > 0:

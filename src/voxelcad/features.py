@@ -13,6 +13,15 @@ kurtosis, energy and entropy, computed with these conventions:
 block_features partitions the volume into an axis-aligned grid of boxes
 (remainder voxels go to the last box along each axis) and concatenates the
 six statistics per box, boxes ordered x-fastest like the voxels themselves.
+
+It computes all boxes of one z-band of boxes at once; a band is a
+contiguous run of the x-fastest voxel array. The band's voxels are grouped
+by box with one stable sort, then per-box sums (mean and the central
+moments m2, m3, m4), minima and maxima come from ufunc.reduceat over the
+box segments, and every box's histogram from one np.bincount. Bin indices
+follow np.histogram's uniform-bin rule exactly, so the counts equal those
+of np.histogram(box, bins, range=(min, max)). Working per band keeps the
+float64 temporaries to a fraction of the volume.
 """
 
 from __future__ import annotations
@@ -73,60 +82,95 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def grayscale_features(intensities, bins: int = DEFAULT_BINS) -> np.ndarray:
-    """Six grayscale statistics of a flat intensity sample."""
-    x = np.asarray(intensities, dtype=np.float64).ravel()
-    if x.size == 0:
-        raise ValueError("intensities must be non-empty")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    mean = x.mean()
-    d = x - mean
-    m2 = np.mean(d * d)
-    if m2 > 0.0:
-        skewness = np.mean(d**3) / m2**1.5
-        kurtosis = np.mean(d**4) / (m2 * m2)
-    else:
-        skewness = 0.0
-        kurtosis = 0.0
-    lo, hi = x.min(), x.max()
-    if lo == hi:
-        p = np.array([1.0])
-    else:
-        counts, _ = np.histogram(x, bins=bins, range=(lo, hi))
-        p = counts / x.size
-    energy = float(np.sum(p * p))
-    nz = p[p > 0.0]
-    entropy = float(-np.sum(nz * np.log2(nz)))
-    return np.array([mean, m2, skewness, kurtosis, energy, entropy])
+def _axis_sizes(n: int, blocks: int) -> np.ndarray:
+    """Box lengths along one axis; the last box absorbs the remainder."""
+    sizes = np.full(blocks, n // blocks)
+    sizes[-1] += n % blocks
+    return sizes
 
 
-def _axis_edges(n: int, blocks: int) -> list[tuple[int, int]]:
-    base = n // blocks
-    edges = [(i * base, (i + 1) * base) for i in range(blocks - 1)]
-    edges.append(((blocks - 1) * base, n))  # last block absorbs the remainder
-    return edges
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_recipe(block_grid, bins) -> tuple[tuple[int, int, int], int]:
+    """The grayscale recipe as ints; a ValueError names the bad field."""
+    if not (isinstance(block_grid, (tuple, list)) and len(block_grid) == 3
+            and all(_is_int(b) and b >= 1 for b in block_grid)):
+        raise ValueError(f"'block_grid' must be three integers >= 1, got {block_grid!r}")
+    if not (_is_int(bins) and bins >= 1):
+        raise ValueError(f"'bins' must be an integer >= 1, got {bins!r}")
+    return tuple(int(b) for b in block_grid), int(bins)
+
+
+def _box_counts(x: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                bins: int) -> np.ndarray:
+    """Histogram of each box over its own [lo, hi], one row per box.
+
+    x holds the boxes one after another, n[i] values each. A value's bin
+    follows np.histogram's uniform-bin rule exactly: edges from
+    linspace(lo, hi, bins + 1), an index from the scaled offset, corrected
+    by one against the edges, and a closed last bin. A constant box gets a
+    wider dummy range, so all its values land in bin 0 and no row of edges
+    has a zero step (linspace then takes the same rounding route per row).
+    """
+    hi = np.where(hi > lo, hi, lo + np.abs(lo) + 1.0)
+    edges = np.linspace(lo, hi, bins + 1, axis=1)
+    f = x - np.repeat(lo, n)
+    f /= np.repeat(hi - lo, n)
+    f *= bins
+    k = f.astype(np.intp)
+    np.minimum(k, bins - 1, out=k)      # the maximum itself goes in the last bin
+    k += np.repeat(np.arange(0, edges.size, bins + 1), n)   # index into flat edges
+    edges[:, -1] = np.inf               # closed last bin: nothing moves up past it
+    edges = edges.ravel()
+    k -= x < edges[k]
+    k += x >= edges[k + 1]
+    return np.bincount(k, minlength=edges.size).reshape(lo.size, bins + 1)[:, :-1]
+
+
+def _band_features(band: np.ndarray, ys: np.ndarray, xs: np.ndarray,
+                   bins: int) -> np.ndarray:
+    """Six statistics per box of one z-band (depth x ny x nx), rows x-fastest."""
+    by, bx = ys.size, xs.size
+    # group the band's voxels by box: a stable sort of each voxel's box id
+    # keeps every box's voxels contiguous and in x-fastest order (the
+    # narrowest id type lets numpy use its radix sort)
+    box_map = np.repeat(np.arange(by), ys)[:, None] * bx + np.repeat(np.arange(bx), xs)
+    box_ids = np.broadcast_to(box_map.astype(np.min_scalar_type(by * bx - 1)), band.shape)
+    x = band.ravel()[np.argsort(box_ids.ravel(), kind="stable")].astype(np.float64)
+    n = np.outer(ys, xs).ravel() * band.shape[0]
+    starts = np.cumsum(n) - n
+
+    lo, hi = np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts)
+    p = _box_counts(x, n, lo, hi, bins) / n[:, None]
+    energy = np.sum(p * p, axis=1)
+    logp = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    entropy = -np.sum(p * logp, axis=1)
+
+    mean = np.add.reduceat(x, starts) / n
+    d = x - np.repeat(mean, n)
+    d2 = d * d
+    m2 = np.add.reduceat(d2, starts) / n
+    m3 = np.add.reduceat(d2 * d, starts) / n
+    m4 = np.add.reduceat(d2 * d2, starts) / n
+    spread = m2 > 0.0
+    safe = np.where(spread, m2, 1.0)
+    skewness = np.where(spread, m3 / safe**1.5, 0.0)
+    kurtosis = np.where(spread, m4 / (safe * safe), 0.0)
+    return np.column_stack([mean, m2, skewness, kurtosis, energy, entropy])
 
 
 def block_features(v: Volume, block_grid: tuple[int, int, int] = DEFAULT_BLOCK_GRID,
                    bins: int = DEFAULT_BINS) -> np.ndarray:
     """Concatenated grayscale statistics over a bx*by*bz box partition."""
+    (bx, by, bz), bins = check_recipe(block_grid, bins)
     nx, ny, nz = v.dims
-    bx, by, bz = block_grid
-    if min(bx, by, bz) < 1:
-        raise ValueError(f"block grid components must be >= 1, got {block_grid}")
     if bx > nx or by > ny or bz > nz:
         raise ValueError(f"block grid {block_grid} exceeds volume dims {v.dims}")
-    arr = v.as_array()
-    xs, ys, zs = _axis_edges(nx, bx), _axis_edges(ny, by), _axis_edges(nz, bz)
-    out = np.empty(6 * bx * by * bz)
-    pos = 0
-    for z0, z1 in zs:
-        for y0, y1 in ys:
-            for x0, x1 in xs:
-                out[pos:pos + 6] = grayscale_features(arr[x0:x1, y0:y1, z0:z1], bins)
-                pos += 6
-    return out
+    xs, ys, zs = _axis_sizes(nx, bx), _axis_sizes(ny, by), _axis_sizes(nz, bz)
+    bands = np.split(v.voxels.reshape(nz, ny, nx), np.cumsum(zs)[:-1])
+    return np.concatenate([_band_features(band, ys, xs, bins) for band in bands]).ravel()
 
 
 def vaf_features(v: Volume) -> np.ndarray:

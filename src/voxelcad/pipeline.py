@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ann, svm
+from .bundlefields import array_field, object_field
 from .config import RunConfig
-from .features import FeatureKind, block_features, vaf_features
+from .features import FeatureKind, block_features, check_recipe, vaf_features
 from .labels import from_sign, to_sign
 from .pca import fit_pca, project
 from .volume import Volume
@@ -62,22 +63,6 @@ def apply_standardization(X: np.ndarray, std) -> np.ndarray:
 
 
 BUNDLE_VERSION = 2
-
-
-def _json_object(value, field: str) -> dict:
-    """A bundle field that must be a JSON object; a ValueError names it."""
-    if not isinstance(value, dict):
-        raise ValueError(f"bundle field '{field}' must be a JSON object, "
-                         f"got {type(value).__name__}")
-    return value
-
-
-def _json_floats(value, field: str) -> np.ndarray:
-    """A bundle field read as a float64 array; a ValueError names it."""
-    try:
-        return np.array(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"bundle field '{field}' must be a numeric array") from None
 
 
 @dataclass(frozen=True)
@@ -121,25 +106,32 @@ class PipelineModel:
                 f"unsupported bundle version {version!r}: this voxelcad reads "
                 f"version {BUNDLE_VERSION} only; train the model again"
             )
-        clf = _json_object(d["classifier"], "classifier")
-        model = _json_object(clf["model"], "classifier.model")
+        clf = object_field(d["classifier"], "classifier")
+        model = object_field(clf["model"], "classifier.model")
         if clf["type"] == "SVM":
-            classifier = svm.SvmModel.from_dict(model)
+            classifier = svm.SvmModel.from_dict(model, "classifier.model")
         elif clf["type"] == "ANN":
-            classifier = ann.AnnModel.from_dict(model)
+            classifier = ann.AnnModel.from_dict(model, "classifier.model")
         else:
             raise ValueError(f"unknown classifier type {clf['type']!r}")
-        affine = _json_object(d["affine"], "affine")
-        weight = _json_floats(affine["weight"], "affine.weight")
-        offset = _json_floats(affine["offset"], "affine.offset")
-        if weight.ndim not in (1, 2) or offset.shape != weight.shape[-1:]:
+        affine = object_field(d["affine"], "affine")
+        weight = array_field(affine["weight"], "affine.weight", (1, 2))
+        offset = array_field(affine["offset"], "affine.offset", (1,))
+        if offset.shape != weight.shape[-1:]:
             raise ValueError(f"bundle field 'affine' has a {weight.shape} weight "
                              f"and a {offset.shape} offset that do not compose")
+        kind = FeatureKind(d["feature_kind"])
+        block_grid = bins = None
+        if kind is FeatureKind.GRAYSCALE:
+            try:
+                block_grid, bins = check_recipe(d["block_grid"], d["bins"])
+            except ValueError as err:
+                raise ValueError(f"bundle field {err}") from None
         return cls(
             pipeline=canonical_pipeline(d["pipeline"]),
-            feature_kind=FeatureKind(d["feature_kind"]),
-            block_grid=tuple(d["block_grid"]) if d.get("block_grid") else None,
-            bins=d.get("bins"),
+            feature_kind=kind,
+            block_grid=block_grid,
+            bins=bins,
             weight=weight,
             offset=offset,
             classifier=classifier,

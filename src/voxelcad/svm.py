@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bundlefields import array_field, number_field
+
 _SV_EPS = 1e-8          # support-vector retention threshold on alpha
 _BOUND_SNAP = 1e-10     # snap alphas this close to 0/C (relative to C)
 
@@ -99,16 +101,17 @@ class SvmModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SvmModel":
+    def from_dict(cls, d: dict, path: str = "model") -> "SvmModel":
+        """Inverse of to_dict; path locates d in the bundle, for error messages."""
         kind = KernelKind(d["kernel"])
-        scale = d["scale"] if d["scale"] is not None else 2.8
+        scale = 2.8 if d["scale"] is None else number_field(d["scale"], f"{path}.scale")
         return cls(
-            support_vectors=np.array(d["support_vectors"], dtype=np.float64),
-            alphas=np.array(d["alphas"], dtype=np.float64),
-            labels=np.array(d["labels"], dtype=np.float64),
-            bias=float(d["bias"]),
+            support_vectors=array_field(d["support_vectors"], f"{path}.support_vectors", (2,)),
+            alphas=array_field(d["alphas"], f"{path}.alphas", (1,)),
+            labels=array_field(d["labels"], f"{path}.labels", (1,)),
+            bias=number_field(d["bias"], f"{path}.bias"),
             kernel=KernelSpec(kind, scale),
-            C=float(d["C"]),
+            C=number_field(d["C"], f"{path}.C"),
         )
 
 

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own algorithms: eigenvalues come
 from bisection on inertia counts, the SVM dual is solved by exhaustive
 active-set enumeration (exact for tiny problems), derivatives come from
-central finite differences, and kernels, SVM decisions and network outputs
-are evaluated one sample at a time.
+central finite differences, kernels, SVM decisions and network outputs
+are evaluated one sample at a time, and grayscale statistics one box at a
+time with np.histogram.
 """
 
 from __future__ import annotations
@@ -93,6 +94,59 @@ def forward(model, x) -> float:
     z = model.w1 @ x + model.b1
     a = np.tanh(z) if model.activation is Activation.TANSIG else np.maximum(z, 0.0)
     return float(model.w2 @ a + model.b2)
+
+
+# --- grayscale statistics, one box at a time ---------------------------------
+
+def grayscale_features(intensities, bins: int) -> np.ndarray:
+    """Six grayscale statistics of a flat intensity sample, with np.histogram."""
+    x = np.asarray(intensities, dtype=np.float64).ravel()
+    mean = x.mean()
+    d = x - mean
+    m2 = np.mean(d * d)
+    if m2 > 0.0:
+        skewness = np.mean(d**3) / m2**1.5
+        kurtosis = np.mean(d**4) / (m2 * m2)
+    else:
+        skewness = 0.0
+        kurtosis = 0.0
+    lo, hi = x.min(), x.max()
+    if lo == hi:
+        p = np.array([1.0])
+    else:
+        counts, _ = np.histogram(x, bins=bins, range=(lo, hi))
+        p = counts / x.size
+    energy = float(np.sum(p * p))
+    nz = p[p > 0.0]
+    entropy = float(-np.sum(nz * np.log2(nz)))
+    return np.array([mean, m2, skewness, kurtosis, energy, entropy])
+
+
+def box_counts(intensities, bins: int) -> np.ndarray:
+    """np.histogram counts over [min, max]; one bin holds a constant box."""
+    x = np.asarray(intensities, dtype=np.float64).ravel()
+    if x.min() == x.max():
+        counts = np.zeros(bins, dtype=np.int64)
+        counts[0] = x.size
+        return counts
+    return np.histogram(x, bins=bins, range=(x.min(), x.max()))[0]
+
+
+def box_slices(dims, block_grid):
+    """(x, y, z) slices of each box, x-fastest; the last box takes the remainder."""
+    def edges(n, blocks):
+        base = n // blocks
+        return [slice(i * base, (i + 1) * base if i < blocks - 1 else n)
+                for i in range(blocks)]
+    xs, ys, zs = (edges(n, b) for n, b in zip(dims, block_grid))
+    return [(sx, sy, sz) for sz in zs for sy in ys for sx in xs]
+
+
+def block_features(v, block_grid, bins: int) -> np.ndarray:
+    """grayscale_features of each box in turn, concatenated x-fastest."""
+    arr = v.as_array()
+    return np.concatenate([grayscale_features(arr[s], bins)
+                           for s in box_slices(v.dims, block_grid)])
 
 
 # --- SVM dual via exhaustive active-set enumeration -------------------------

@@ -143,7 +143,15 @@ def test_predict_refuses_other_bundle_versions(version, svm_bundle, small_datase
     ("affine", [1], "bundle field 'affine' must be a JSON object"),
     ("affine.weight", {"a": 1}, "bundle field 'affine.weight' must be a numeric array"),
     ("affine.offset", [1], "bundle field 'affine' has a"),
-], ids=["classifier", "affine", "affine.weight", "affine.offset"])
+    ("bins", "x", "bundle field 'bins' must be an integer >= 1, got 'x'"),
+    ("bins", "3", "bundle field 'bins' must be an integer >= 1, got '3'"),
+    ("bins", None, "bundle field 'bins' must be an integer >= 1, got None"),
+    ("bins", 0, "bundle field 'bins' must be an integer >= 1, got 0"),
+    ("block_grid", None, "bundle field 'block_grid' must be three integers >= 1"),
+    ("block_grid", [4, 4], "bundle field 'block_grid' must be three integers >= 1"),
+    ("block_grid", [4, 0, 4], "bundle field 'block_grid' must be three integers >= 1"),
+], ids=["classifier", "affine", "affine.weight", "affine.offset", "bins-x", "bins-str",
+        "bins-null", "bins-zero", "block_grid-null", "block_grid-pair", "block_grid-zero"])
 def test_predict_refuses_a_malformed_bundle(field, value, message, svm_bundle,
                                             small_dataset, tmp_path):
     manifest, _ = small_dataset

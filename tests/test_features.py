@@ -1,49 +1,58 @@
 import numpy as np
 import pytest
 
+import oracles
+from voxelcad import features
 from voxelcad.features import (FeatureKind, FeatureMatrix, block_features,
-                               build_feature_matrix, grayscale_features,
-                               load_feature_matrix, save_feature_matrix,
-                               vaf_features)
-from voxelcad.manifest import write_manifest
-from voxelcad.volume import Modality, Volume, flatten, save_volume
+                               build_feature_matrix, load_feature_matrix,
+                               save_feature_matrix, vaf_features)
+from voxelcad.manifest import read_manifest, write_manifest
+from voxelcad.synth import SynthConfig, make_subject
+from voxelcad.volume import Modality, Volume, flatten, load_volume, save_volume
+
+
+def _one_box(values, bins: int) -> np.ndarray:
+    """block_features of a (n, 1, 1) volume as a single box."""
+    values = np.asarray(values, dtype=np.float64)
+    return block_features(Volume(dims=(values.size, 1, 1), voxels=values), (1, 1, 1), bins)
 
 
 def test_constant_input_conventions():
-    for c in (0.0, 0.7, -3.0):
-        got = grayscale_features([c, c, c, c], bins=8)
-        assert np.allclose(got, [c, 0, 0, 0, 1, 0], atol=0)
+    for c in (0.0, 0.75, -3.0):
+        got = _one_box([c, c, c, c], bins=8)
+        assert np.array_equal(got, [c, 0, 0, 0, 1, 0])
 
 
 def test_two_point_sample_hand_values():
     # m2 = 0.25, m3 = 0, m4 = 0.0625, p = (0.5, 0.5)
-    got = grayscale_features([0.0, 1.0], bins=2)
+    got = _one_box([0.0, 1.0], bins=2)
     assert np.allclose(got, [0.5, 0.25, 0.0, 1.0, 0.5, 1.0], atol=1e-15)
 
 
 def test_symmetric_sample_has_zero_skewness():
-    assert grayscale_features([-1.0, 0.0, 1.0], bins=4)[2] == 0.0
-    assert grayscale_features([2.0, 4.0], bins=4)[2] == 0.0
+    assert _one_box([-1.0, 0.0, 1.0], bins=4)[2] == 0.0
+    assert _one_box([2.0, 4.0], bins=4)[2] == 0.0
 
 
 def test_gaussian_kurtosis_is_near_three(rng):
     x = rng.normal(size=200_000)
-    kurt = grayscale_features(x, bins=32)[3]
+    kurt = _one_box(x, bins=32)[3]
     assert abs(kurt - 3.0) < 0.1
 
 
 def test_input_validation():
-    with pytest.raises(ValueError):
-        grayscale_features([], bins=4)
-    with pytest.raises(ValueError):
-        grayscale_features([1.0], bins=0)
+    v = Volume(dims=(2, 2, 2), voxels=np.arange(8.0))
+    for bins in (0, -1, 1.5, "3", None, True, [4]):
+        with pytest.raises(ValueError, match="'bins' must be an integer >= 1"):
+            block_features(v, (1, 1, 1), bins)
 
 
 def test_affine_equivariance(rng):
-    x = rng.random(500)
+    # dyadic values, so x and a*x + b are both exact in float32 voxels
+    x = rng.integers(0, 1024, 500) / 1024.0
     a, b = 2.5, -1.25
-    base = grayscale_features(x, bins=16)
-    mapped = grayscale_features(a * x + b, bins=16)
+    base = _one_box(x, bins=16)
+    mapped = _one_box(a * x + b, bins=16)
     assert abs(mapped[0] - (a * base[0] + b)) < 1e-10      # mean is affine
     assert abs(mapped[1] - a * a * base[1]) < 1e-10        # variance scales
     assert abs(mapped[2] - base[2]) < 1e-10                # skewness invariant
@@ -56,7 +65,7 @@ def test_energy_entropy_ranges(rng):
     for bins in (1, 2, 32):
         for _ in range(20):
             x = rng.random(rng.integers(1, 200))
-            _, _, _, _, energy, entropy = grayscale_features(x, bins=bins)
+            _, _, _, _, energy, entropy = _one_box(x, bins=bins)
             assert 0.0 < energy <= 1.0
             assert -1e-12 <= entropy <= np.log2(bins) + 1e-12
 
@@ -64,7 +73,7 @@ def test_energy_entropy_ranges(rng):
 def test_single_block_grid_equals_global(rng):
     v = Volume(dims=(4, 5, 3), voxels=rng.random(60))
     got = block_features(v, (1, 1, 1), bins=16)
-    want = grayscale_features(flatten(v), bins=16)
+    want = oracles.grayscale_features(flatten(v), bins=16)
     # same voxel multiset, different summation order between the two routes
     assert np.allclose(got, want, rtol=0, atol=1e-12)
 
@@ -74,6 +83,102 @@ def test_two_singleton_blocks():
     got = block_features(v, (2, 1, 1), bins=1)
     a, b = np.float32(0.25), np.float32(0.75)
     assert np.allclose(got, [a, 0, 0, 0, 1, 0, b, 0, 0, 0, 1, 0], atol=0)
+
+
+def _edge_volume(dims, rng) -> Volume:
+    """Float32 voxels on the dyadic grid k/8: with bins 2, 4 or 8 over a box
+    spanning [0, 1] many sit exactly on an interior edge or on the maximum."""
+    vox = rng.integers(0, 9, int(np.prod(dims))) / 8.0
+    vox[:2] = (0.0, 1.0)
+    return Volume(dims=dims, voxels=vox)
+
+
+def _clipped_synth(dims) -> Volume:
+    # strong noise and separation: voxels clipped to 0 and to 1, as synth
+    # makes them, and boxes that are constant at 0
+    cfg = SynthConfig(n_ad=1, n_hc=1, dims=dims, seed=5, separation=12.0, noise_sigma=0.3)
+    return make_subject(cfg, 0)
+
+
+_ORACLE_CASES = [
+    # (volume, block grid, bins)
+    (lambda rng: make_subject(SynthConfig(n_ad=1, n_hc=1, seed=1), 0), (4, 4, 4), 32),
+    (lambda rng: _clipped_synth((34, 47, 39)), (8, 8, 8), 32),
+    (lambda rng: _clipped_synth((17, 12, 10)), (5, 3, 4), 7),
+    (lambda rng: Volume(dims=(7, 6, 5), voxels=rng.random(210)), (3, 2, 2), 4),
+    (lambda rng: Volume(dims=(18, 17, 3), voxels=rng.random(918)), (17, 16, 1), 6),
+    (lambda rng: Volume(dims=(5, 5, 5), voxels=rng.random(125)), (5, 5, 5), 3),
+    (lambda rng: Volume(dims=(9, 4, 11), voxels=rng.normal(size=396)), (2, 4, 3), 1),
+    (lambda rng: Volume(dims=(13, 7, 3), voxels=rng.random(273) ** 4), (4, 3, 3), 64),
+    (lambda rng: Volume(dims=(6, 6, 6), voxels=np.repeat([0.3, -2.0], 108)), (2, 3, 2), 5),
+    (lambda rng: _edge_volume((8, 8, 4), rng), (1, 1, 1), 8),
+    (lambda rng: _edge_volume((8, 8, 4), rng), (2, 2, 1), 4),
+    (lambda rng: _edge_volume((9, 3, 5), rng), (2, 1, 2), 2),
+    (lambda rng: Volume(dims=(4, 1, 2), voxels=_CORRECTED_DOWN + _CORRECTED_UP), (1, 1, 2), 100),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_ORACLE_CASES)))
+def test_block_features_match_the_per_box_oracle(case, rng):
+    make, grid, bins = _ORACLE_CASES[case]
+    v = make(rng)
+    got = block_features(v, grid, bins).reshape(-1, 6)
+    want = oracles.block_features(v, grid, bins).reshape(-1, 6)
+    assert np.array_equal(got[:, 4], want[:, 4])            # energy bit-equal
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    # the histograms themselves, box by box, against np.histogram
+    arr = v.as_array()
+    boxes = [arr[s].ravel(order="F").astype(np.float64)
+             for s in oracles.box_slices(v.dims, grid)]
+    x = np.concatenate(boxes)
+    n = np.array([b.size for b in boxes])
+    lo = np.array([b.min() for b in boxes])
+    hi = np.array([b.max() for b in boxes])
+    counts = features._box_counts(x, n, lo, hi, bins)
+    assert np.array_equal(counts, [oracles.box_counts(b, bins) for b in boxes])
+
+
+# float32 boxes whose scaled offset lands one bin off with 100 bins, so
+# np.histogram's correction against the edges moves the value down (first
+# box) or up (second box); each list starts with the box's min and max
+_CORRECTED_DOWN = [0.0, 1.756354570388794, 0.4390886425971985, 0.878177285194397]
+_CORRECTED_UP = [0.0, 0.6520912051200867, 0.18910644948482513, 0.37821289896965027]
+
+
+@pytest.mark.parametrize("bins", [1, 3, 7, 32, 100])
+def test_box_counts_follow_np_histogram_at_the_edges(bins, rng):
+    lo32, hi32 = np.float32(0.1), np.float32(0.7)
+    # every edge of [lo, hi] rounded to float32, and its float32 neighbours
+    edges32 = np.linspace(float(lo32), float(hi32), bins + 1).astype(np.float32)
+    near = np.concatenate([edges32, np.nextafter(edges32, np.float32(-1)),
+                           np.nextafter(edges32, np.float32(2))])
+    boxes = [
+        np.clip(near, lo32, hi32),
+        _CORRECTED_DOWN,
+        _CORRECTED_UP,
+        rng.integers(0, 9, 40) / 8.0 * 3.0 - 1.0,   # on dyadic edges and the max
+        rng.random(50),
+        np.full(6, 0.7),                              # constant box
+        [-2.5],                                       # single voxel
+    ]
+    boxes = [np.asarray(b, dtype=np.float32).astype(np.float64) for b in boxes]
+    x = np.concatenate(boxes)
+    n = np.array([b.size for b in boxes])
+    got = features._box_counts(x, n, np.array([b.min() for b in boxes]),
+                               np.array([b.max() for b in boxes]), bins)
+    assert np.array_equal(got, [oracles.box_counts(b, bins) for b in boxes])
+
+
+def test_build_feature_matrix_matches_the_oracle_and_repeats(small_dataset,
+                                                             small_grayscale):
+    manifest, _ = small_dataset
+    want = np.stack([
+        oracles.block_features(load_volume(row.path), (4, 4, 4), features.DEFAULT_BINS)
+        for row in read_manifest(manifest)
+    ])
+    assert np.allclose(small_grayscale.values, want, rtol=0, atol=1e-12)
+    again = build_feature_matrix(manifest, FeatureKind.GRAYSCALE)
+    assert np.array_equal(again.values, small_grayscale.values)
 
 
 def test_default_grid_feature_length(rng):
@@ -100,10 +205,12 @@ def test_blocks_partition_all_voxels(rng):
 
 def test_block_grid_validation(rng):
     v = Volume(dims=(3, 3, 3), voxels=rng.random(27))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds"):
         block_features(v, (4, 1, 1))
-    with pytest.raises(ValueError):
-        block_features(v, (0, 1, 1))
+    for grid in [(0, 1, 1), (1, 1), (1, 1, 1, 1), None, (1.0, 1, 1), ("1", 1, 1),
+                 (True, 1, 1), 3]:
+        with pytest.raises(ValueError, match="'block_grid' must be three integers"):
+            block_features(v, grid)
 
 
 def test_vaf_equals_flatten(rng):

@@ -172,6 +172,37 @@ def test_from_dict_rejects_unknown_classifier(small_grayscale, small_runconfig):
         PipelineModel.from_dict(d)
 
 
+@pytest.fixture(scope="module")
+def bundles(small_grayscale, small_runconfig):
+    """One PCA-SVM and one PCA-ANN bundle as JSON-ready dicts."""
+    return {pid: _fit(pid, small_grayscale, small_runconfig).to_dict()
+            for pid in ("PCA-SVM", "PCA-ANN")}
+
+
+_MISTYPED = [
+    ("PCA-SVM", "bias", None, "must be a finite number"),
+    ("PCA-SVM", "bias", [1], "must be a finite number"),
+    ("PCA-SVM", "C", None, "must be a finite number"),
+    ("PCA-SVM", "C", [1], "must be a finite number"),
+    ("PCA-SVM", "scale", "x", "must be a finite number"),
+    ("PCA-SVM", "alphas", 7, "must be a numeric array of rank 1"),
+    ("PCA-SVM", "alphas", [None], "must be a numeric array of rank 1"),
+    ("PCA-SVM", "support_vectors", [[1.0], [1.0, 2.0]], "must be a numeric array of rank 2"),
+    ("PCA-ANN", "b2", None, "must be a finite number"),
+    ("PCA-ANN", "b2", [1], "must be a finite number"),
+    ("PCA-ANN", "w1", "x", "must be a numeric array of rank 2"),
+]
+
+
+@pytest.mark.parametrize("pid, key, value, message", _MISTYPED,
+                         ids=[f"{p}-{k}={json.dumps(v)}" for p, k, v, _ in _MISTYPED])
+def test_from_dict_names_a_mistyped_model_field(bundles, pid, key, value, message):
+    d = json.loads(json.dumps(bundles[pid]))
+    d["classifier"]["model"][key] = value
+    with pytest.raises(ValueError, match=f"bundle field 'classifier.model.{key}' {message}"):
+        PipelineModel.from_dict(d)
+
+
 def test_from_dict_rejects_a_non_object():
     with pytest.raises(ValueError, match="JSON object"):
         PipelineModel.from_dict([1, 2])
