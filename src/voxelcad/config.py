@@ -3,8 +3,10 @@
 One record mirrors every tunable knob across the modules. It loads from a
 JSON file, accepts flag overrides on top (flags win), and `validate()`
 re-checks every field against the owning module's constructor before any
-work starts. The JSON key for the L2 strength is "lambda"; the Python
-field is lambda_ to dodge the keyword.
+work starts. Values from either source must first have the field's
+declared JSON type: an integer (not a bool), a number, true/false, a
+string, or a list of three integers. The JSON key for the L2 strength is
+"lambda"; the Python field is lambda_ to dodge the keyword.
 """
 
 from __future__ import annotations
@@ -21,6 +23,22 @@ from .synth import (DEFAULT_DIMS, DEFAULT_NOISE_SIGMA, DEFAULT_SEPARATION,
 
 _JSON_TO_FIELD = {"lambda": "lambda_"}
 _FIELD_TO_JSON = {"lambda_": "lambda"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# declared field type -> (test, what the error message asks for)
+_TYPE_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[int, int, int]": (
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_int, v)),
+        "a list of three integers"),
+}
 
 
 @dataclass(frozen=True)
@@ -141,23 +159,28 @@ class RunConfig:
 
     @classmethod
     def from_sources(cls, config_path=None, overrides: dict | None = None) -> "RunConfig":
-        """defaults <- JSON file <- overrides; unknown keys are errors."""
-        known = {f.name for f in dataclasses.fields(cls)}
+        """defaults <- JSON file <- overrides; unknown keys and values of
+        the wrong JSON type are errors that name the key."""
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
         merged: dict = {}
+
+        def take(key, value, label):
+            field = _JSON_TO_FIELD.get(key, key)
+            if field not in types:
+                raise ValueError(f"unknown {label}")
+            test, want = _TYPE_CHECKS[types[field]]
+            if not test(value):
+                raise ValueError(f"{label} must be {want}, got {value!r}")
+            merged[field] = value
+
         if config_path is not None:
             with open(config_path, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
             if not isinstance(loaded, dict):
                 raise ValueError(f"config file {config_path} must hold a JSON object")
             for key, value in loaded.items():
-                field = _JSON_TO_FIELD.get(key, key)
-                if field not in known:
-                    raise ValueError(f"unknown config key {key!r} in {config_path}")
-                merged[field] = value
+                take(key, value, f"config key {key!r} in {config_path}")
         for key, value in (overrides or {}).items():
-            field = _JSON_TO_FIELD.get(key, key)
-            if field not in known:
-                raise ValueError(f"unknown config override {key!r}")
             if value is not None:
-                merged[field] = value
+                take(key, value, f"config override {key!r}")
         return cls(**merged)

@@ -13,16 +13,26 @@ Conventions:
     computed spectrum.
 
 fit_pca takes the direct m x m covariance route when m <= n and otherwise
-the Gram route: eigendecompose Xc Xc^T/(n-1) (n x n) and map eigenvectors
+the Gram route: eigendecompose G = Xc Xc^T/(n-1) (n x n) and map eigenvectors
 back through Xc^T u / ||Xc^T u||. The Gram route yields the nonzero
 spectrum exactly; the omitted trailing eigenvalues are zero, so the model
 stores components as an m x r matrix with r <= min(n, m) columns rather
 than a literal m x m basis (infeasible for voxel-level feature spaces).
+On that route the components are stored in F order, one contiguous
+column each.
+
+The zero-variance check compares the total variance sum(Xc*Xc)/(n-1)
+with a round-off floor; that sum is the trace of G (or of the covariance
+on the direct route), so it is read off the matrix already built. The
+model also carries the training rows' scores. On the Gram route they come
+from the Gram eigenvectors without another pass over X: by the snapshot
+identity (Sirovich 1987), Xc v_i = sqrt((n-1) lambda_i) u_i, with v_i the
+i-th component and u_i the matching unit eigenvector of G.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +47,8 @@ class PcaModel:
     components holds the first r eigenvectors as columns (m x r); r equals
     m on the direct route and the retained nonzero-spectrum size on the
     Gram route. eigenvalues/contribution have length r, non-increasing.
+    scores, when set by fit_pca, holds project(model, X_train) for the
+    rows the model was fit on (n x retained).
     """
 
     means: np.ndarray
@@ -44,6 +56,7 @@ class PcaModel:
     components: np.ndarray
     retained: int
     contribution: np.ndarray
+    scores: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "means", np.asarray(self.means, dtype=np.float64))
@@ -87,13 +100,20 @@ def covariance(Xc: np.ndarray) -> np.ndarray:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so each one's largest-magnitude entry (first on ties)
-    is positive."""
-    vectors = vectors.copy()
-    idx = np.argmax(np.abs(vectors), axis=0)
-    flips = vectors[idx, np.arange(vectors.shape[1])] < 0.0
-    vectors[:, flips] *= -1.0
-    return vectors
+    """Flip, in place, the columns whose largest-magnitude entry (first on
+    ties) is negative; returns the +/-1 factor applied to each column.
+
+    The peak is found from each column's maximum and minimum, so no |.|
+    copy is made; the scans are contiguous when the columns are (F order).
+    """
+    cols = np.arange(vectors.shape[1])
+    hi = np.argmax(vectors, axis=0)
+    lo = np.argmin(vectors, axis=0)
+    top, bottom = vectors[hi, cols], -vectors[lo, cols]
+    flips = (bottom > top) | ((bottom == top) & (lo < hi))
+    signs = np.where(flips, -1.0, 1.0)
+    vectors *= signs
+    return signs
 
 
 def eigen_symmetric(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +127,9 @@ def eigen_symmetric(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("P is not symmetric within tolerance")
     eigenvalues, vectors = np.linalg.eigh(P)
     order = np.argsort(-eigenvalues, kind="stable")
-    return eigenvalues[order], _fix_signs(vectors[:, order])
+    vectors = vectors[:, order]
+    _fix_signs(vectors)
+    return eigenvalues[order], vectors
 
 
 def contribution_rates(eigenvalues) -> np.ndarray:
@@ -154,28 +176,37 @@ def fit_pca(X, cum_threshold: float = 0.95, method: str = "auto") -> PcaModel:
         raise ValueError(f"unknown method {method!r}")
     use_gram = m > n if method == "auto" else method == "gram"
     Xc, means = center(X)
-    # identical rows leave round-off residue, not exact zeros; treat variance
-    # at that level as a zero spectrum instead of normalizing noise
-    scale = np.max(np.abs(X)) if X.size else 0.0
-    zero_floor = m * (16.0 * np.finfo(np.float64).eps * max(scale, 1e-300)) ** 2
-    total_variance = float(np.sum(Xc * Xc)) / (n - 1)
-    if total_variance <= zero_floor:
-        raise ValueError("all-zero spectrum: data has no variance")
-    if not use_gram:
-        eigenvalues, components = eigen_symmetric(covariance(Xc))
+    if use_gram:
+        P = Xc @ Xc.T / (n - 1)
+        P = np.triu(P) + np.triu(P, 1).T
     else:
-        G = Xc @ Xc.T / (n - 1)
-        G = np.triu(G) + np.triu(G, 1).T
-        gram_values, U = eigen_symmetric(G)
+        P = covariance(Xc)
+    # identical rows leave round-off residue, not exact zeros; treat variance
+    # at that level as a zero spectrum instead of normalizing noise. The
+    # scale bounds max|X| without a pass over X: every |Xc_ij| is at most
+    # the norm of its row (Gram) or column (covariance), sqrt((n-1) P_ii).
+    scale = np.max(np.abs(means)) + np.sqrt((n - 1) * np.max(np.diag(P))) if m else 0.0
+    zero_floor = m * (16.0 * np.finfo(np.float64).eps * max(scale, 1e-300)) ** 2
+    if np.trace(P) <= zero_floor:
+        raise ValueError("all-zero spectrum: data has no variance")
+    eigenvalues, vectors = eigen_symmetric(P)
+    if use_gram:
         # rank cutoff: eigenpairs at round-off level cannot be mapped back stably
-        cutoff = max(n, m) * np.finfo(np.float64).eps * max(gram_values[0], 0.0)
-        keep = gram_values > cutoff
+        cutoff = max(n, m) * np.finfo(np.float64).eps * max(eigenvalues[0], 0.0)
+        keep = eigenvalues > cutoff
         if not np.any(keep):
             raise ValueError("all-zero spectrum: data has no variance")
-        eigenvalues = gram_values[keep]
-        mapped = Xc.T @ U[:, keep]
-        mapped /= np.sqrt((n - 1) * eigenvalues)
-        components = _fix_signs(mapped)
+        eigenvalues = eigenvalues[keep]
+        U = vectors[:, keep]
+        norms = np.sqrt((n - 1) * eigenvalues)
+        # F order: each component is a contiguous column for _fix_signs
+        components = ((U / norms).T @ Xc).T
+        signs = _fix_signs(components)
+        # snapshot identity: Xc v_i = sqrt((n-1) lambda_i) u_i
+        scores = U * (norms * signs)
+    else:
+        components = vectors
+        scores = Xc @ components
     rates = contribution_rates(eigenvalues)
     retained = select_components(rates, cum_threshold)
     return PcaModel(
@@ -184,6 +215,7 @@ def fit_pca(X, cum_threshold: float = 0.95, method: str = "auto") -> PcaModel:
         components=components,
         retained=retained,
         contribution=rates,
+        scores=scores[:, :retained],
     )
 
 

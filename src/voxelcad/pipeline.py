@@ -48,13 +48,21 @@ def pipeline_feature_kind(pipeline: str, cfg: RunConfig) -> FeatureKind:
     return cfg.feature_kind_enum()
 
 
-def fit_standardization(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column (mean, sigma); zero-variance columns get sigma 1."""
+def standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z-score the columns of X: (scaled rows, means, sigmas), with sigma 1
+    for zero-variance columns. One centring pass gives both the sigmas and
+    the scaled rows; means and sigmas are allocated before the rows."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     means = X.mean(axis=0)
-    sigmas = X.std(axis=0, ddof=1) if X.shape[0] > 1 else np.zeros(X.shape[1])
-    sigmas = np.where(sigmas > 0.0, sigmas, 1.0)
-    return means, sigmas
+    sigmas = np.ones_like(means)
+    Xs = X - means
+    if X.shape[0] > 1:
+        np.einsum("ij,ij->j", Xs, Xs, out=sigmas)
+        sigmas /= X.shape[0] - 1
+        np.sqrt(sigmas, out=sigmas)
+        sigmas[~(sigmas > 0.0)] = 1.0
+    Xs /= sigmas
+    return Xs, means, sigmas
 
 
 def apply_standardization(X: np.ndarray, std) -> np.ndarray:
@@ -166,17 +174,16 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     prescale = None
     if pid in ("PCA-SVM", "PCA-ANN"):
         if cfg.pca_prescale:
-            prescale = fit_standardization(X)
-            X = apply_standardization(X, prescale)
+            X, *prescale = standardize(X)
             if val_X is not None:
                 val_X = apply_standardization(val_X, prescale)
         pca_model = fit_pca(X, cum_threshold=cfg.pca_threshold)
-        X = project(pca_model, X)
+        X = pca_model.scores
         if val_X is not None:
             val_X = project(pca_model, val_X)
-        # W is scaled in place in the buffer of the kept basis columns, so no
-        # second m x k array is made and the PcaModel itself is dropped here
-        weight = pca_model.components[:, :pca_model.retained]
+        # a C-order copy of the kept basis columns: W then has the layout of
+        # a bundle read back from JSON, and the full PcaModel can be dropped
+        weight = np.ascontiguousarray(pca_model.components[:, :pca_model.retained])
         shift = pca_model.means
         if prescale is not None:
             shift = prescale[0] / prescale[1] + shift
@@ -185,15 +192,16 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
             weight /= prescale[1][:, None]
         del pca_model
 
-    means, sigmas = fit_standardization(X)
-    # compose before Xs exists: the kept (weight, offset) then do not sit
-    # above Xs in the heap and hold its freed pages (peak RSS of VAF-SVM)
+    Xs, means, sigmas = standardize(X)
     if pid == "VAF-SVM":
-        weight, offset = 1.0 / sigmas, -means / sigmas
+        # composed in the buffers standardize made before Xs: arrays kept for
+        # the model's life must not sit above Xs in the heap and hold its
+        # freed pages (peak RSS of VAF-SVM)
+        offset = np.negative(np.divide(means, sigmas, out=means), out=means)
+        weight = np.divide(1.0, sigmas, out=sigmas)
     else:
         weight /= sigmas
         offset = (offset - means) / sigmas
-    Xs = apply_standardization(X, (means, sigmas))
 
     if pid.endswith("SVM"):
         classifier = svm.train_svm(Xs, targets, C=cfg.C, kernel=cfg.kernel_spec(),

@@ -6,6 +6,10 @@ The dual QP
 is solved by SMO over two-coefficient working sets chosen as the maximal
 violating pair; the solver stops when the pair violation gap drops to
 `tol`, which bounds every KKT violation by tol for the returned bias.
+Exact ties in the pair choice go to the lowest index, and SMO stops
+anywhere inside its `tol` KKT gap, so a change to the inputs at the 1e-16
+level can move the decision scores by about 1e-6 relative, and by up to
+the order of `tol` when it turns the solver onto another path.
 
 Kernels: LINEAR x.z and GAUSSIAN exp(-||x-z||^2 / s^2); s is the kernel
 scale, i.e. the length scale that divides the inputs.
@@ -57,9 +61,17 @@ def gram_matrix(k: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np
     B = A if B is None else np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"kernel inputs differ in dimension: {A.shape[1]} vs {B.shape[1]}")
+    AB = A @ B.T
     if k.kind is KernelKind.LINEAR:
-        return A @ B.T
-    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+        return AB
+    # squared row norms without an A*A temporary; on the self-Gram they are
+    # the diagonal of AB, so every k(x, x) is exactly 1
+    if B is A:
+        na = nb = AB.diagonal()
+    else:
+        na = np.einsum("ij,ij->i", A, A)
+        nb = np.einsum("ij,ij->i", B, B)
+    sq = na[:, None] + nb[None, :] - 2.0 * AB
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-sq / (k.scale * k.scale))
 

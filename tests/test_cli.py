@@ -170,6 +170,31 @@ def test_predict_refuses_a_malformed_bundle(field, value, message, svm_bundle,
     assert proc.stderr.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("key, value, want", [
+    ("block_grid", None, "a list of three integers"),
+    ("block_grid", [2, 2, 2.0], "a list of three integers"),
+    ("n_ad", "x", "an integer"),
+    ("n_hc", True, "an integer"),
+    ("C", "1", "a number"),
+    ("folds", None, "an integer"),
+    ("seed", "x", "an integer"),
+    ("pca_prescale", "yes", "true or false"),
+    ("pca_prescale", "no", "true or false"),
+    ("kernel", 1, "a string"),
+], ids=["block_grid-null", "block_grid-float", "n_ad-str", "n_hc-bool", "C-str",
+        "folds-null", "seed-str", "pca_prescale-yes", "pca_prescale-no", "kernel-int"])
+def test_config_file_refuses_a_mistyped_value(key, value, want, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    proc = _run_cli("synth", "--out", str(tmp_path / "cohort"), "--n-ad", "2",
+                    "--n-hc", "2", "--dims", "6x5x4", "--config", str(cfg_path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(
+        f"error: config key {key!r} in {cfg_path} must be {want}, got {value!r}")
+    assert not (tmp_path / "cohort").exists()
+
+
 def test_threads_config_key_is_refused(tmp_path, small_dataset, capsys):
     manifest, _ = small_dataset
     cfg_path = tmp_path / "cfg.json"

@@ -105,3 +105,17 @@ def test_from_sources_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(ValueError, match="JSON object"):
         RunConfig.from_sources(path)
+
+
+def test_from_sources_checks_json_types(tmp_path):
+    path = tmp_path / "run.json"
+    # an integer is a valid number; a list is a valid triple
+    path.write_text(json.dumps({"C": 2, "kernel_scale": 3.5, "dims": [6, 5, 4],
+                                "pca_prescale": True, "lambda": 0}))
+    cfg = RunConfig.from_sources(path)
+    assert (cfg.C, cfg.dims, cfg.pca_prescale, cfg.lambda_) == (2, (6, 5, 4), True, 0)
+    path.write_text(json.dumps({"lambda": "0.1"}))
+    with pytest.raises(ValueError, match="config key 'lambda' .* must be a number"):
+        RunConfig.from_sources(path)
+    with pytest.raises(ValueError, match="config override 'hidden' must be an integer"):
+        RunConfig.from_sources(None, {"hidden": 2.5})

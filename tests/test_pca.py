@@ -137,10 +137,14 @@ def test_fit_pca_hand_example():
     assert model.retained == 1
 
 
-def test_fit_pca_rejects_constant_data():
-    X = np.tile([1.5, -2.0, 0.25], (6, 1))
-    with pytest.raises(ValueError, match="zero spectrum"):
-        fit_pca(X)
+@pytest.mark.parametrize("method", ["direct", "gram"])
+def test_fit_pca_rejects_constant_data(method):
+    # exact zeros after centering, and identical rows whose mean leaves
+    # round-off residue
+    for row in ([1.5, -2.0, 0.25], [0.1, -2.3, 7.7]):
+        X = np.tile(row, (7, 1))
+        with pytest.raises(ValueError, match="zero spectrum"):
+            fit_pca(X, method=method)
 
 
 def test_fit_pca_needs_two_rows():
@@ -213,6 +217,44 @@ def test_gram_route_matches_direct(rng):
     Yd = project(direct, X, n_components=r)
     Yg = project(gram, X, n_components=r)
     assert np.max(np.abs(Yd - Yg)) <= 1e-8
+
+
+def _peaks_are_positive(V):
+    return np.all(V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] > 0.0)
+
+
+def test_gram_route_sign_convention_on_wide_input(rng):
+    for _ in range(5):
+        X = rng.normal(size=(8, 500)) * rng.uniform(0.1, 3.0, size=500)
+        model = fit_pca(X, cum_threshold=1.0)
+        assert model.components.shape == (500, 7)
+        assert _peaks_are_positive(model.components)
+
+
+def test_gram_route_sign_convention_breaks_ties_by_first_entry(rng):
+    # feature 1 is the exact negative of feature 0 and both dominate, so
+    # the leading component's two largest entries tie in magnitude
+    X = 0.1 * rng.normal(size=(6, 400))
+    X[:, 0] = 10.0 * rng.normal(size=6)
+    X[:, 1] = -X[:, 0]
+    model = fit_pca(X, cum_threshold=1.0)
+    v = model.components[:, 0]
+    assert v[1] == -v[0]
+    assert np.argmax(np.abs(v)) == 0
+    assert v[0] > 0.0
+    assert _peaks_are_positive(model.components)
+
+
+@pytest.mark.parametrize("method, shape", [("gram", (12, 300)), ("gram", (20, 600)),
+                                           ("gram", (40, 6)), ("direct", (40, 6)),
+                                           ("direct", (9, 20))])
+def test_training_scores_match_project(method, shape, rng):
+    n, m = shape
+    X = rng.normal(size=shape) * np.geomspace(5.0, 0.05, m)
+    model = fit_pca(X, cum_threshold=0.95, method=method)
+    want = project(model, X)
+    assert model.scores.shape == want.shape == (n, model.retained)
+    assert np.max(np.abs(model.scores - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_unknown_method():

@@ -11,8 +11,8 @@ from voxelcad.manifest import read_manifest
 from voxelcad.pca import fit_pca, project
 from voxelcad.pipeline import (PIPELINES, PipelineModel, apply_standardization,
                                canonical_pipeline, fit_pipeline,
-                               fit_standardization, pipeline_feature_kind,
-                               predict_matrix, predict_volume)
+                               pipeline_feature_kind, predict_matrix,
+                               predict_volume, standardize)
 from voxelcad.svm import SvmModel, decision_batch
 from voxelcad.volume import load_volume
 
@@ -35,21 +35,23 @@ def test_pipeline_feature_kind_rules(small_runconfig):
 
 def test_standardization_hand_example():
     X = np.array([[1.0, 3.0], [3.0, 7.0]])
-    means, sigmas = fit_standardization(X)
+    Z, means, sigmas = standardize(X)
     assert np.array_equal(means, [2.0, 5.0])
     assert np.allclose(sigmas, [np.sqrt(2.0), np.sqrt(8.0)], atol=1e-15)
-    Z = apply_standardization(X, (means, sigmas))
+    assert np.array_equal(Z, apply_standardization(X, (means, sigmas)))
     assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-15)
     assert np.allclose(Z.std(axis=0, ddof=1), 1.0, atol=1e-12)
 
 
 def test_standardization_degenerate_columns():
     X = np.array([[4.0, 1.0], [4.0, 2.0], [4.0, 3.0]])
-    means, sigmas = fit_standardization(X)
+    Z, means, sigmas = standardize(X)
     assert sigmas[0] == 1.0  # constant column passes through unscaled
-    single_means, single_sigmas = fit_standardization(np.array([[7.0, -1.0]]))
+    assert np.array_equal(Z[:, 0], [0.0, 0.0, 0.0])
+    Z, single_means, single_sigmas = standardize(np.array([[7.0, -1.0]]))
     assert np.array_equal(single_means, [7.0, -1.0])
     assert np.array_equal(single_sigmas, [1.0, 1.0])
+    assert np.array_equal(Z, [[0.0, 0.0]])
 
 
 def _fit(pid, fm, cfg, **kw):
@@ -153,9 +155,9 @@ def test_composed_front_end_matches_the_staged_one(pid, prescale, small_grayscal
     X = fm.values
     if pid != "VAF-SVM":
         if prescale:
-            X = apply_standardization(X, fit_standardization(X))
+            X = standardize(X)[0]
         X = project(fit_pca(X, cum_threshold=cfg.pca_threshold), X)
-    Z = apply_standardization(X, fit_standardization(X))
+    Z = standardize(X)[0]
     clf = model.classifier
     want = decision_batch(clf, Z) if isinstance(clf, SvmModel) else forward_batch(clf, Z)
     labels, scores = predict_matrix(model, fm.values)
