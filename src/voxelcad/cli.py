@@ -4,12 +4,20 @@ Exit codes: 0 success, 1 domain errors (bad data or configuration), 2
 usage errors (argparse). Diagnostics go to stderr; data and reports go to
 files or stdout. --config loads a JSON RunConfig; explicit flags override
 file values.
+
+The argparse tree is built once per process (build_parser is cached) and
+every dispatch only parses with it. That holds no state between calls:
+parse_args fills a fresh Namespace each time, every flag's default is a
+constant, and usage errors, --help and --version leave through SystemExit
+before a command runs. A closed loop of predict requests then pays only
+for the parse, not for rebuilding five subparsers and their ~70 actions.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -107,6 +115,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return cfg.validate()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voxelcad",
@@ -221,9 +230,8 @@ def _fmt(value) -> str:
 
 
 def dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:

@@ -16,20 +16,31 @@ six statistics per box, boxes ordered x-fastest like the voxels themselves.
 
 It computes all boxes of one z-band of boxes at once; a band is a
 contiguous run of the x-fastest voxel array. The band's voxels are grouped
-by box with one stable sort, then per-box sums (mean and the central
-moments m2, m3, m4), minima and maxima come from ufunc.reduceat over the
-box segments, and every box's histogram from one np.bincount. Bin indices
+by box with one gather, then per-box sums (mean and the central moments
+m2, m3, m4), minima and maxima come from ufunc.reduceat over the box
+segments, and every box's histogram from one np.bincount. Bin indices
 follow np.histogram's uniform-bin rule exactly, so the counts equal those
 of np.histogram(box, bins, range=(min, max)). Working per band keeps the
 float64 temporaries to a fraction of the volume.
+
+Where the voxels go depends only on the volume dims and the block grid,
+so that is computed once per geometry and cached (a few geometries at a
+time): per band, the permutation into the flat voxel array, the box sizes
+and the segment starts, all stored read-only. The permutation is the
+stable argsort of each voxel's box id, which keeps every box's voxels in
+their x-fastest order. A volume then only gathers its voxels through it:
+the reductions see the same values in the same order as a per-volume
+sort would give them, so the features are bit-identical to it.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import functools
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,18 +140,46 @@ def _box_counts(x: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return np.bincount(k, minlength=edges.size).reshape(lo.size, bins + 1)[:, :-1]
 
 
-def _band_features(band: np.ndarray, ys: np.ndarray, xs: np.ndarray,
-                   bins: int) -> np.ndarray:
-    """Six statistics per box of one z-band (depth x ny x nx), rows x-fastest."""
-    by, bx = ys.size, xs.size
-    # group the band's voxels by box: a stable sort of each voxel's box id
+class _BandPlan(NamedTuple):
+    """What the geometry fixes about one z-band of boxes."""
+
+    perm: np.ndarray     # flat voxel indices of the band, grouped by box
+    n: np.ndarray        # voxels per box
+    starts: np.ndarray   # offset of each box's segment in perm
+
+
+@functools.lru_cache(maxsize=8)
+def _extraction_plan(dims: tuple[int, int, int],
+                     block_grid: tuple[int, int, int]) -> tuple[_BandPlan, ...]:
+    """One _BandPlan per z-band of boxes, for volumes of these dims.
+
+    Nothing in it depends on voxel values or on the bin count, so a process
+    that alternates a few bundles or grids keeps one plan for each.
+    """
+    nx, ny, nz = dims
+    bx, by, bz = block_grid
+    xs, ys, zs = _axis_sizes(nx, bx), _axis_sizes(ny, by), _axis_sizes(nz, bz)
+    # group a band's voxels by box: a stable sort of each voxel's box id
     # keeps every box's voxels contiguous and in x-fastest order (the
     # narrowest id type lets numpy use its radix sort)
     box_map = np.repeat(np.arange(by), ys)[:, None] * bx + np.repeat(np.arange(bx), xs)
-    box_ids = np.broadcast_to(box_map.astype(np.min_scalar_type(by * bx - 1)), band.shape)
-    x = band.ravel()[np.argsort(box_ids.ravel(), kind="stable")].astype(np.float64)
-    n = np.outer(ys, xs).ravel() * band.shape[0]
-    starts = np.cumsum(n) - n
+    box_map = box_map.astype(np.min_scalar_type(by * bx - 1)).ravel()
+    plans = []
+    for z0, depth in zip(np.cumsum(zs) - zs, zs):
+        box_ids = np.broadcast_to(box_map, (depth, box_map.size)).ravel()
+        perm = np.argsort(box_ids, kind="stable") + z0 * ny * nx
+        n = np.outer(ys, xs).ravel() * depth
+        starts = np.cumsum(n) - n
+        for a in (perm, n, starts):
+            a.flags.writeable = False
+        plans.append(_BandPlan(perm, n, starts))
+    return tuple(plans)
+
+
+def _band_features(flat: np.ndarray, plan: _BandPlan, bins: int) -> np.ndarray:
+    """Six statistics per box of one z-band, rows x-fastest."""
+    n, starts = plan.n, plan.starts
+    x = flat[plan.perm].astype(np.float64)
 
     lo, hi = np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts)
     p = _box_counts(x, n, lo, hi, bins) / n[:, None]
@@ -168,9 +207,8 @@ def block_features(v: Volume, block_grid: tuple[int, int, int] = DEFAULT_BLOCK_G
     nx, ny, nz = v.dims
     if bx > nx or by > ny or bz > nz:
         raise ValueError(f"block grid {block_grid} exceeds volume dims {v.dims}")
-    xs, ys, zs = _axis_sizes(nx, bx), _axis_sizes(ny, by), _axis_sizes(nz, bz)
-    bands = np.split(v.voxels.reshape(nz, ny, nx), np.cumsum(zs)[:-1])
-    return np.concatenate([_band_features(band, ys, xs, bins) for band in bands]).ravel()
+    plan = _extraction_plan(v.dims, (bx, by, bz))
+    return np.concatenate([_band_features(v.voxels, band, bins) for band in plan]).ravel()
 
 
 def vaf_features(v: Volume) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 
 import voxelcad
 from voxelcad import __version__
-from voxelcad.cli import dispatch
+from voxelcad.cli import build_parser, dispatch
 from voxelcad.features import (FeatureKind, build_feature_matrix,
                                load_feature_matrix)
 from voxelcad.manifest import read_manifest
@@ -229,3 +229,31 @@ def test_eval_rejects_unknown_pipeline(tmp_path, small_dataset, capsys):
                      "--report", str(tmp_path / "r.json")])
     assert code == 1
     assert "unknown pipeline" in capsys.readouterr().err
+
+
+def test_the_reused_parser_carries_no_state_between_calls(tmp_path, small_dataset,
+                                                          capsys):
+    manifest, _ = small_dataset
+    assert build_parser() is build_parser()
+    assert dispatch(["train", "--manifest", str(manifest), "--bins", "x"]) == 2
+    assert "argument --bins: invalid int value: 'x'" in capsys.readouterr().err
+    assert dispatch(["--help"]) == 0
+    assert "COMMAND" in capsys.readouterr().out
+    scaled = tmp_path / "scaled.json"
+    assert dispatch(["train", "--manifest", str(manifest), "--pca-prescale",
+                     "--model-out", str(scaled)]) == 0
+    plain = tmp_path / "plain.json"
+    assert dispatch(["train", "--manifest", str(manifest),
+                     "--model-out", str(plain)]) == 0
+    capsys.readouterr()
+    child = tmp_path / "child.json"
+    proc = _run_cli("train", "--manifest", str(manifest), "--model-out", str(child))
+    assert proc.returncode == 0, proc.stderr
+    assert plain.read_bytes() == child.read_bytes()
+    assert scaled.read_bytes() != child.read_bytes()
+
+    volume = str(read_manifest(manifest)[0].path)
+    assert dispatch(["predict", "--model", str(plain), "--volume", volume]) == 0
+    proc = _run_cli("predict", "--model", str(child), "--volume", volume)
+    assert proc.returncode == 0, proc.stderr
+    assert capsys.readouterr().out == proc.stdout

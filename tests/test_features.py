@@ -267,3 +267,32 @@ def test_csv_header_check(tmp_path):
     path.write_text("id,label,f0\na,AD,1.0\n")
     with pytest.raises(ValueError, match="header"):
         load_feature_matrix(path)
+
+
+def test_block_features_on_alternating_geometries(rng):
+    # each geometry gets its own cached plan; revisiting one reuses it, and
+    # a call between two others of a different geometry changes nothing
+    cases = [
+        (Volume(dims=(7, 6, 5), voxels=rng.random(210)), (3, 2, 2), 4),
+        (Volume(dims=(9, 4, 11), voxels=rng.normal(size=396)), (2, 4, 3), 1),
+        (Volume(dims=(7, 6, 5), voxels=rng.random(210)), (2, 3, 5), 16),
+        (_clipped_synth((17, 12, 10)), (5, 3, 4), 7),
+        (Volume(dims=(7, 6, 5), voxels=rng.random(210)), (3, 2, 2), 9),
+    ]
+    first = [block_features(v, grid, bins) for v, grid, bins in cases]
+    for _ in range(2):
+        for (v, grid, bins), want in zip(cases, first):
+            got = block_features(v, grid, bins)
+            assert np.array_equal(got, want)
+            oracle = oracles.block_features(v, grid, bins)
+            assert np.array_equal(got.reshape(-1, 6)[:, 4], oracle.reshape(-1, 6)[:, 4])
+            assert np.allclose(got, oracle, rtol=0, atol=1e-12)
+    for v, grid, _ in cases:
+        plan = features._extraction_plan(v.dims, grid)
+        assert plan is features._extraction_plan(v.dims, grid)
+        assert sum(band.perm.size for band in plan) == v.n_voxels
+        for band in plan:
+            for arr in band:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
