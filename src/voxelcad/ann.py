@@ -272,13 +272,17 @@ class _EarlyStop:
     patience: int
     best_sse: float = np.inf
     best_theta: np.ndarray | None = None
+    best_epoch: int = -1
+    epochs: int = 0
     bad_run: int = 0
 
     def update(self, sse: float, theta: np.ndarray) -> bool:
         """Record one iteration; True means stop now."""
+        self.epochs += 1
         if sse < self.best_sse:
             self.best_sse = sse
             self.best_theta = theta.copy()
+            self.best_epoch = self.epochs - 1
             self.bad_run = 0
             return False
         self.bad_run += 1
@@ -329,6 +333,7 @@ def _start_early_stop(theta, targets, val_X, val_targets, d, h, cfg, history):
 def _finish(theta, d, h, cfg, history, stopper):
     if stopper is not None and stopper.best_theta is not None:
         theta = stopper.best_theta
+        history["early_stop_epoch"] = stopper.best_epoch
     w1, b1, w2, b2 = _unpack(theta, d, h)
     return AnnModel(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=float(b2),
                     activation=cfg.activation, history=history)
@@ -340,7 +345,8 @@ def train_lm(X, targets, cfg: TrainConfig = TrainConfig(),
 
     With a validation set, the returned weights are the iterate with the
     lowest validation SSE, where iteration 0 is the mean-target network and
-    history["val_sse"][0] is its SSE (see _start_early_stop).
+    history["val_sse"][0] is its SSE (see _start_early_stop); its index in
+    history["val_sse"] is history["early_stop_epoch"].
     """
     X, targets, val_X, val_targets = _check_training_inputs(X, targets, val_X, val_targets)
     n, d = X.shape
@@ -402,7 +408,8 @@ def train_gdm(X, targets, cfg: TrainConfig = TrainConfig(),
     """Full-batch gradient descent with momentum.
 
     Early stopping works as in train_lm: iteration 0 is the mean-target
-    network and history["val_sse"][0] is its validation SSE.
+    network, history["val_sse"][0] is its validation SSE, and
+    history["early_stop_epoch"] is the index of the returned iterate.
     """
     X, targets, val_X, val_targets = _check_training_inputs(X, targets, val_X, val_targets)
     n, d = X.shape

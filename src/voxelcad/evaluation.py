@@ -8,6 +8,12 @@ slice only drives ANN early stopping; SVM training ignores it.
 
 Every fold refits standardization, PCA, and the classifier on its own
 training rows, so no test information leaks into fitted parameters.
+cross_validate hands fit_pipeline the whole feature matrix and the fold's
+row indices, so the fit's own gather is the only copy of the training
+rows; validation rows are gathered only for PCA-ANN. Each PCA-ANN fold
+reports the early-stopping epoch whose weights it kept (0 is the
+mean-target network, which predicts the training majority), and the notes
+count those fallbacks.
 
 A report's mean metrics are micro-averages: they are recomputed from the
 summed confusion counts, which makes "mean equals aggregate" an identity
@@ -168,6 +174,9 @@ class FoldResult:
     n_val: int
     n_test: int
     train_time_s: float
+    # ANN only: the validation epoch whose weights early stopping kept, 0
+    # being the mean-target network; None when no early stopping ran
+    early_stop_epoch: int | None = None
 
 
 @dataclass(frozen=True)
@@ -197,6 +206,7 @@ class EvalReport:
                     "sensitivity": fr.scores.sensitivity,
                     "specificity": fr.scores.specificity,
                     "n_train": fr.n_train, "n_val": fr.n_val, "n_test": fr.n_test,
+                    "early_stop_epoch": fr.early_stop_epoch,
                     "train_time_s": fr.train_time_s,
                 }
                 for fr in self.fold_results
@@ -227,7 +237,7 @@ def strip_timing(report_dict: dict) -> dict:
     return out
 
 
-def _pipeline_notes(pid: str, cfg: RunConfig) -> tuple[str, ...]:
+def _pipeline_notes(pid: str, cfg: RunConfig, fold_results) -> tuple[str, ...]:
     notes = [
         f"fold layout: test = 1/{cfg.folds} stratified chunk; remainder split so "
         f"validation holds ~{cfg.val_fraction:.0%} of the cohort",
@@ -239,6 +249,14 @@ def _pipeline_notes(pid: str, cfg: RunConfig) -> tuple[str, ...]:
             f"ANN trained with {cfg.trainer.upper()} / {cfg.activation.upper()}, "
             "early-stopped on the validation slice"
         )
+        epochs = [fr.early_stop_epoch for fr in fold_results
+                  if fr.early_stop_epoch is not None]
+        if epochs:
+            notes.append(
+                f"{epochs.count(0)} of {len(epochs)} early-stopped folds kept the "
+                "mean-target network (early_stop_epoch 0), which predicts the "
+                "training majority"
+            )
     if pid == "VAF-SVM":
         notes.append("kernel and box-constraint preset reused from the PCA-SVM configuration")
     return tuple(notes)
@@ -279,13 +297,18 @@ def cross_validate(manifest_path, pipelines, cfg: RunConfig) -> list[EvalReport]
         for i, sp in enumerate(splits):
             try:
                 t0 = time.perf_counter()
+                # only the ANN reads the validation rows (early stopping)
+                use_val = sp.val.size and not pid.endswith("SVM")
                 model = fit_pipeline(
-                    pid, X[sp.train], lab[sp.train], cfg,
+                    pid, X, lab, cfg,
                     ann_seed=_fold_seed(cfg.seed, pid, i),
-                    val_X=X[sp.val] if sp.val.size else None,
-                    val_labels=lab[sp.val] if sp.val.size else None,
+                    val_X=X[sp.val] if use_val else None,
+                    val_labels=lab[sp.val] if use_val else None,
+                    rows=sp.train,
                 )
                 t_train = time.perf_counter() - t0
+                history = getattr(model.classifier, "history", None) or {}
+                stop_epoch = history.get("early_stop_epoch")
                 t0 = time.perf_counter()
                 predicted, _ = predict_matrix(model, X[sp.test])
                 pred_time += time.perf_counter() - t0
@@ -302,6 +325,7 @@ def cross_validate(manifest_path, pipelines, cfg: RunConfig) -> list[EvalReport]
                 fold=i, cm=cm, scores=metrics(cm),
                 n_train=int(sp.train.size), n_val=int(sp.val.size),
                 n_test=int(sp.test.size), train_time_s=t_train,
+                early_stop_epoch=stop_epoch,
             ))
         reports.append(EvalReport(
             pipeline=pid,
@@ -309,7 +333,7 @@ def cross_validate(manifest_path, pipelines, cfg: RunConfig) -> list[EvalReport]
             fold_results=tuple(fold_results),
             aggregate=agg,
             mean_scores=metrics(agg),
-            notes=_pipeline_notes(pid, cfg),
+            notes=_pipeline_notes(pid, cfg, fold_results),
             config=cfg.to_dict(),
             train_time_s_total=train_total,
             prediction_obs_per_s=n_pred / pred_time if pred_time > 0 else float(n_pred),

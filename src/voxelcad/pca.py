@@ -78,13 +78,24 @@ class PcaModel:
         return self.components.shape[0]
 
 
-def center(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column-center X; returns (Xc, per-feature means)."""
+def center(X: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Column-center X, or the rows of X that the integer indices rows
+    select; returns (Xc, per-feature means).
+
+    Xc is the only new n x m array: with rows, the gathered copy is
+    centered in place; without them, Xc is X - means. X itself is never
+    written.
+    """
     X = np.asarray(X, dtype=np.float64)
+    if rows is not None:
+        X = np.take(X, rows, axis=0)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("X must be a non-empty 2-D matrix")
     means = X.mean(axis=0)
-    return X - means, means
+    if rows is None:
+        return X - means, means
+    X -= means
+    return X, means
 
 
 def covariance(Xc: np.ndarray) -> np.ndarray:
@@ -159,8 +170,10 @@ def select_components(rates, cum_threshold: float) -> int:
     return int(hit[0]) + 1
 
 
-def fit_pca(X, cum_threshold: float = 0.95, method: str = "auto") -> PcaModel:
-    """Fit a PCA model on the rows of X (ndarray or FeatureMatrix).
+def fit_pca(X, cum_threshold: float = 0.95, method: str = "auto",
+            rows: np.ndarray | None = None) -> PcaModel:
+    """Fit a PCA model on the rows of X (ndarray or FeatureMatrix), or on
+    the rows that the integer indices rows select (see center).
 
     method: "direct" eigendecomposes the m x m covariance, "gram" the n x n
     Gram matrix (exact for the nonzero spectrum), "auto" picks gram when
@@ -169,13 +182,13 @@ def fit_pca(X, cum_threshold: float = 0.95, method: str = "auto") -> PcaModel:
     X = np.asarray(getattr(X, "values", X), dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
-    n, m = X.shape
-    if n < 2:
-        raise ValueError("fit_pca needs n >= 2 samples")
     if method not in ("auto", "direct", "gram"):
         raise ValueError(f"unknown method {method!r}")
+    Xc, means = center(X, rows)
+    n, m = Xc.shape
+    if n < 2:
+        raise ValueError("fit_pca needs n >= 2 samples")
     use_gram = m > n if method == "auto" else method == "gram"
-    Xc, means = center(X)
     if use_gram:
         P = Xc @ Xc.T / (n - 1)
         P = np.triu(P) + np.triu(P, 1).T

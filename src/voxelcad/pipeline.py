@@ -12,6 +12,13 @@ classifier trains on the staged rows. Together the stages form one affine
 map, so the bundle stores only its composition, x -> x W + b with W of
 shape m x k for the PCA pipelines and a per-feature scale w (x * w + b)
 for VAF-SVM, and prediction applies it in a single step.
+
+A fit makes one working copy as large as its training rows. The first
+stage (the prescale z-score, the PCA centring, or the VAF-SVM z-score)
+gathers the rows, all of X or the indices a cross-validation fold passes
+as rows, and centres and scales that copy in place; later stages see only
+the n x k PCA scores. When VAF-SVM keeps every row as a support vector, its
+model holds the z-scored copy itself. No stage writes into the caller's X.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .bundlefields import array_field, object_field
 from .config import RunConfig
 from .features import FeatureKind, block_features, check_recipe, vaf_features
 from .labels import from_sign, to_sign
-from .pca import fit_pca, project
+from .pca import center, fit_pca, project
 from .volume import Volume
 
 PIPELINES = ("PCA-SVM", "PCA-ANN", "VAF-SVM")
@@ -48,17 +55,18 @@ def pipeline_feature_kind(pipeline: str, cfg: RunConfig) -> FeatureKind:
     return cfg.feature_kind_enum()
 
 
-def standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Z-score the columns of X: (scaled rows, means, sigmas), with sigma 1
-    for zero-variance columns. One centring pass gives both the sigmas and
-    the scaled rows; means and sigmas are allocated before the rows."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    means = X.mean(axis=0)
+def standardize(X: np.ndarray, rows: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z-score the columns of X, or of the rows that the integer indices
+    rows select: (scaled rows, means, sigmas), with sigma 1 for
+    zero-variance columns. The centred working copy from pca.center gives
+    both the sigmas and, scaled in place, the returned rows."""
+    Xs, means = center(np.atleast_2d(np.asarray(X, dtype=np.float64)), rows)
     sigmas = np.ones_like(means)
-    Xs = X - means
-    if X.shape[0] > 1:
+    n = Xs.shape[0]
+    if n > 1:
         np.einsum("ij,ij->j", Xs, Xs, out=sigmas)
-        sigmas /= X.shape[0] - 1
+        sigmas /= n - 1
         np.sqrt(sigmas, out=sigmas)
         sigmas[~(sigmas > 0.0)] = 1.0
     Xs /= sigmas
@@ -158,27 +166,40 @@ class PipelineModel:
 def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
                  ann_seed: int | None = None,
                  val_X: np.ndarray | None = None,
-                 val_labels=None) -> PipelineModel:
+                 val_labels=None,
+                 rows: np.ndarray | None = None) -> PipelineModel:
     """Fit one preset on already-extracted features.
 
-    X rows must match pipeline_feature_kind(pipeline, cfg). The validation
-    set drives ANN early stopping only; SVM training ignores it.
+    X rows must match pipeline_feature_kind(pipeline, cfg), with one label
+    per row. rows, integer indices into X and labels, restricts the fit to
+    those rows (a cross-validation fold); None fits every row. The first
+    front-end stage (the pca_prescale z-score, the PCA centring, or the
+    VAF-SVM z-score) gathers the rows and centres them in place, so that
+    copy is the fit's only working array as large as the training rows,
+    and X itself is never written. The validation set drives ANN early
+    stopping only; SVM training ignores it.
     """
     pid = canonical_pipeline(pipeline)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     targets = np.array([to_sign(l) for l in labels], dtype=np.float64)
     if targets.shape[0] != X.shape[0]:
         raise ValueError("labels length does not match X rows")
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ValueError("rows must be a 1-D array of integer row indices")
+        targets = targets[rows]
     kind = pipeline_feature_kind(pid, cfg)
 
     prescale = None
     if pid in ("PCA-SVM", "PCA-ANN"):
         if cfg.pca_prescale:
-            X, *prescale = standardize(X)
+            X, *prescale = standardize(X, rows)
+            rows = None     # X is now the fold's own z-scored copy
             if val_X is not None:
                 val_X = apply_standardization(val_X, prescale)
-        pca_model = fit_pca(X, cum_threshold=cfg.pca_threshold)
-        X = pca_model.scores
+        pca_model = fit_pca(X, cum_threshold=cfg.pca_threshold, rows=rows)
+        X, rows = pca_model.scores, None
         if val_X is not None:
             val_X = project(pca_model, val_X)
         # a C-order copy of the kept basis columns: W then has the layout of
@@ -192,11 +213,10 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
             weight /= prescale[1][:, None]
         del pca_model
 
-    Xs, means, sigmas = standardize(X)
+    Xs, means, sigmas = standardize(X, rows)
     if pid == "VAF-SVM":
-        # composed in the buffers standardize made before Xs: arrays kept for
-        # the model's life must not sit above Xs in the heap and hold its
-        # freed pages (peak RSS of VAF-SVM)
+        # composed in place in standardize's means and sigmas, which the fit
+        # no longer needs: two fewer m-wide allocations per fit
         offset = np.negative(np.divide(means, sigmas, out=means), out=means)
         weight = np.divide(1.0, sigmas, out=sigmas)
     else:
@@ -204,6 +224,7 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         offset = (offset - means) / sigmas
 
     if pid.endswith("SVM"):
+        # on VAF-SVM the model may keep Xs itself as its support vectors
         classifier = svm.train_svm(Xs, targets, C=cfg.C, kernel=cfg.kernel_spec(),
                                    tol=cfg.svm_tol)
     else:
@@ -234,7 +255,8 @@ def predict_matrix(model: PipelineModel, X: np.ndarray) -> tuple[list[str], np.n
             f"X has {X.shape[1]} features, the bundle expects {model.weight.shape[0]}"
         )
     W = model.weight
-    Z = (X @ W if W.ndim == 2 else X * W) + model.offset
+    Z = X @ W if W.ndim == 2 else X * W
+    Z += model.offset
     if isinstance(model.classifier, svm.SvmModel):
         scores = svm.decision_batch(model.classifier, Z)
     else:

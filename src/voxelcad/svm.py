@@ -18,9 +18,11 @@ The bias is the median of y_i - sum_j a_j y_j k(x_i, x_j) over free support
 vectors (0 < a < C); with no free vectors it is the midpoint of the
 feasible interval implied by the bound vectors.
 
-Models store only the vectors with a_i > 1e-8. decision_batch expects rows
-in the space the model was trained in; for a pipeline that is the output of
-its affine front end, which pipeline.predict_matrix applies first.
+Models store only the vectors with a_i > 1e-8, in C order; a model that
+keeps every training row holds a C-order training matrix itself, not a
+copy. decision_batch expects rows in the space the model was trained in;
+for a pipeline that is the output of its affine front end, which
+pipeline.predict_matrix applies first.
 """
 
 from __future__ import annotations
@@ -228,12 +230,17 @@ def train_svm(X: np.ndarray, y: np.ndarray, C: float = 1.0,
               max_iter: int | None = None) -> SvmModel:
     """solve_dual + support-vector filtering into an SvmModel.
 
-    X must already be in the model's input space.
+    X must already be in the model's input space. When every row is kept
+    as a support vector and X is a C-order float64 array, the model holds X
+    itself rather than a copy, so it shares X's memory. Support vectors are
+    always stored in C order, the layout of a model read back from JSON, so
+    a model scores bit-identically to its round trip.
     """
     alpha, bias = solve_dual(X, y, C, kernel, tol, max_iter)
     keep = alpha > _SV_EPS
+    X = np.asarray(X, dtype=np.float64)
     return SvmModel(
-        support_vectors=np.asarray(X, dtype=np.float64)[keep],
+        support_vectors=np.ascontiguousarray(X) if keep.all() else X[keep],
         alphas=alpha[keep],
         labels=np.asarray(y, dtype=np.float64)[keep],
         bias=bias,

@@ -213,6 +213,11 @@ def test_early_stopping_restores_best_weights():
     pred = forward_batch(model, val_X)
     got = float((pred - val_t) @ (pred - val_t))
     assert got == min(model.history["val_sse"])
+    # the reported epoch indexes val_sse, whose entry 0 is the mean-target network
+    epoch = model.history["early_stop_epoch"]
+    assert epoch == int(np.argmin(model.history["val_sse"])) > 0
+    plain = train_lm(LINE_X, LINE_T, cfg)
+    assert "early_stop_epoch" not in plain.history
 
 
 @pytest.mark.parametrize("trainer", [Trainer.LM, Trainer.GDM])
@@ -229,6 +234,7 @@ def test_early_stopping_falls_back_to_mean_target_network(trainer):
     assert np.array_equal(model.w2, np.zeros(3))
     assert model.b2 == targets.mean()
     assert model.history["val_sse"][0] == 0.0
+    assert model.history["early_stop_epoch"] == 0
     assert len(model.history["train_sse"]) > 1
 
 

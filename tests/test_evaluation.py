@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_metrics
+from voxelcad import evaluation
 from voxelcad.evaluation import (ConfusionMatrix, EvalError, Metrics,
                                  _csv_num, _fold_seed, confusion,
                                  cross_validate, metrics, strip_timing,
@@ -145,6 +146,10 @@ def test_cross_validate_report_shapes(small_reports, small_runconfig):
             assert (fr.n_train, fr.n_val, fr.n_test) == (13, 2, 5)
             assert fr.cm.total == 5
             assert fr.scores == metrics(fr.cm)
+            if report.pipeline == "PCA-ANN":
+                assert isinstance(fr.early_stop_epoch, int) and fr.early_stop_epoch >= 0
+            else:
+                assert fr.early_stop_epoch is None
             agg = agg + fr.cm
         assert report.aggregate == agg
         assert report.aggregate.total == 20
@@ -158,11 +163,38 @@ def test_cross_validate_report_shapes(small_reports, small_runconfig):
         stripped = strip_timing(d)
         assert "timing" not in stripped
         assert "train_time_s" not in stripped["folds"][0]
+        assert ([f["early_stop_epoch"] for f in stripped["folds"]]
+                == [fr.early_stop_epoch for fr in report.fold_results])
+        fallback = [n for n in report.notes if "mean-target network" in n]
+        if report.pipeline == "PCA-ANN":
+            kept = sum(fr.early_stop_epoch == 0 for fr in report.fold_results)
+            assert fallback == [
+                f"{kept} of {small_runconfig.folds} early-stopped folds kept the "
+                "mean-target network (early_stop_epoch 0), which predicts the "
+                "training majority"]
+        else:
+            assert fallback == []
         assert "timing" in d  # the original is untouched
 
 
 def test_cross_validate_is_deterministic(small_dataset, small_runconfig,
                                          small_reports):
+    manifest, _ = small_dataset
+    again = cross_validate(manifest, PIPELINES, small_runconfig)
+    for first, second in zip(small_reports, again):
+        assert strip_timing(first.to_dict()) == strip_timing(second.to_dict())
+
+
+def test_cross_validate_never_writes_into_the_feature_matrices(
+        monkeypatch, small_dataset, small_runconfig, small_reports):
+    build = evaluation.build_feature_matrix
+
+    def read_only(*args, **kwargs):
+        fm = build(*args, **kwargs)
+        fm.values.flags.writeable = False
+        return fm
+
+    monkeypatch.setattr(evaluation, "build_feature_matrix", read_only)
     manifest, _ = small_dataset
     again = cross_validate(manifest, PIPELINES, small_runconfig)
     for first, second in zip(small_reports, again):

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from voxelcad.ann import AnnModel, forward_batch
+from voxelcad.evaluation import stratified_split
 from voxelcad.features import FeatureKind
 from voxelcad.labels import from_sign
 from voxelcad.manifest import read_manifest
@@ -138,6 +140,13 @@ def test_bundle_round_trip_preserves_predictions(tmp_path, small_grayscale,
         labels_b, scores_b = predict_matrix(back, fm.values)
         assert labels_a == labels_b
         assert np.array_equal(scores_a, scores_b)
+        if pid.endswith("SVM"):
+            # a model that keeps every training row holds them in C order,
+            # the layout of its JSON round trip
+            sv = model.classifier.support_vectors
+            assert sv.flags.c_contiguous
+            if pid == "VAF-SVM":
+                assert sv.shape[0] == fm.values.shape[0]  # support-vector ratio 1
         d = json.loads(path.read_text())
         assert d["version"] == 2
         assert set(d) == {"version", "pipeline", "feature_kind", "block_grid",
@@ -230,3 +239,69 @@ def test_predict_volume_matches_matrix_path(small_dataset, small_grayscale,
         labels, scores = predict_matrix(model, fm.values[idx][None, :])
         assert label == labels[0]
         assert score == float(scores[0])
+
+
+def _fold(fm):
+    """One cross-validation fold's (train rows, validation rows) of fm."""
+    sp = stratified_split(fm.labels, 4, 0.10, seed=0)[1]
+    return sp.train, sp.val
+
+
+def _read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+_FITS = [(pid, kind, prescale)
+         for pid in PIPELINES
+         for kind in (("vaf",) if pid == "VAF-SVM" else ("grayscale", "vaf"))
+         for prescale in (False, True)]
+
+
+@pytest.mark.parametrize("pid, kind, prescale", _FITS,
+                         ids=[f"{p}-{k}-prescale{int(s)}" for p, k, s in _FITS])
+def test_a_fit_on_rows_equals_a_fit_on_the_sliced_rows(pid, kind, prescale,
+                                                       small_grayscale, small_vaf,
+                                                       small_runconfig):
+    # every input is read-only, so a fit that writes into its caller's
+    # arrays (the session-wide feature fixtures among them) raises here
+    cfg = dataclasses.replace(small_runconfig, feature_kind=kind, pca_prescale=prescale)
+    fm = small_vaf if kind == "vaf" else small_grayscale
+    X = _read_only(fm.values)
+    train, val = _fold(fm)
+    labels = np.asarray(fm.labels, dtype=object)
+    kw = dict(ann_seed=6, val_X=_read_only(X[val]), val_labels=labels[val])
+    on_rows = fit_pipeline(pid, X, labels, cfg, rows=_read_only(train), **kw)
+    sliced = fit_pipeline(pid, _read_only(X[train]), labels[train], cfg, **kw)
+    assert on_rows.to_dict() == sliced.to_dict()
+    _, scores = predict_matrix(on_rows, X)
+    assert np.all(np.isfinite(scores))
+
+
+def test_fit_pipeline_rejects_rows_that_are_not_indices(small_grayscale, small_runconfig):
+    fm = small_grayscale
+    mask = np.zeros(fm.values.shape[0], dtype=bool)
+    mask[:10] = True
+    with pytest.raises(ValueError, match="integer row indices"):
+        fit_pipeline("PCA-SVM", fm.values, fm.labels, small_runconfig, rows=mask)
+
+
+def test_vaf_svm_fold_fit_allocates_one_working_copy(rng, small_runconfig):
+    # a wide fold, like a VAF one: numpy reports its array buffers to
+    # tracemalloc, so the traced peak counts every copy of the training rows,
+    # independent of the C heap's layout
+    n, m = 50, 20_000
+    X = rng.normal(size=(n, m))
+    labels = ["AD"] * 35 + ["HC"] * 15
+    rows = np.arange(5, 45)
+    fold_bytes = rows.size * m * X.itemsize
+    tracemalloc.start()
+    try:
+        model = fit_pipeline("VAF-SVM", X, labels, small_runconfig, rows=rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the Gaussian preset keeps every row of such a fold as a support vector
+    assert model.classifier.support_vectors.shape[0] == rows.size
+    assert peak <= 1.25 * fold_bytes, peak / fold_bytes
