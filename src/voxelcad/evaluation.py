@@ -10,8 +10,9 @@ Every fold refits standardization, PCA, and the classifier on its own
 training rows, so no test information leaks into fitted parameters.
 cross_validate hands fit_pipeline the whole feature matrix and the fold's
 row indices, so the fit's own gather is the only copy of the training
-rows; validation rows are gathered only for PCA-ANN. Each PCA-ANN fold
-reports the early-stopping epoch whose weights it kept (0 is the
+rows; validation rows are gathered only for PCA-ANN. predict_matrix takes
+the test rows' indices the same way and gathers them once. Each PCA-ANN
+fold reports the early-stopping epoch whose weights it kept (0 is the
 mean-target network, which predicts the training majority), and the notes
 count those fallbacks.
 
@@ -310,7 +311,7 @@ def cross_validate(manifest_path, pipelines, cfg: RunConfig) -> list[EvalReport]
                 history = getattr(model.classifier, "history", None) or {}
                 stop_epoch = history.get("early_stop_epoch")
                 t0 = time.perf_counter()
-                predicted, _ = predict_matrix(model, X[sp.test])
+                predicted, _ = predict_matrix(model, X, rows=sp.test)
                 pred_time += time.perf_counter() - t0
                 # drop the fold's model now; on VAF features its m-wide
                 # arrays would otherwise stay live through the next fit

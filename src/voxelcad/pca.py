@@ -18,8 +18,11 @@ back through Xc^T u / ||Xc^T u||. The Gram route yields the nonzero
 spectrum exactly; the omitted trailing eigenvalues are zero, so the model
 stores components as an m x r matrix with r <= min(n, m) columns rather
 than a literal m x m basis (infeasible for voxel-level feature spaces).
-On that route the components are stored in F order, one contiguous
-column each.
+On that route the map-back runs one column block of Xc at a time and
+writes each block's r x b product over the first r rows of those columns,
+so the components live in the centred copy's own buffer: they are the F
+order view Xc[:r].T, one contiguous column each, and the fit allocates no
+second array as large as its training rows.
 
 The zero-variance check compares the total variance sum(Xc*Xc)/(n-1)
 with a round-off floor; that sum is the trace of G (or of the covariance
@@ -38,15 +41,18 @@ import numpy as np
 
 _EIG_NEG_TOL = 1e-9     # tolerated negative round-off, relative to max |eigenvalue|
 _THRESHOLD_SLACK = 1e-12  # select_components cumulative-sum slack
+_MAP_BACK_COLS = 1024   # column block of the Gram-route map-back
 
 
 @dataclass(frozen=True)
 class PcaModel:
     """Fitted PCA basis.
 
-    components holds the first r eigenvectors as columns (m x r); r equals
-    m on the direct route and the retained nonzero-spectrum size on the
-    Gram route. eigenvalues/contribution have length r, non-increasing.
+    components holds the first r eigenvectors as columns (m x r, F order);
+    r equals m on the direct route and the retained nonzero-spectrum size
+    on the Gram route, where components is a view into the rows of the
+    centred training copy. eigenvalues/contribution have length r,
+    non-increasing.
     scores, when set by fit_pca, holds project(model, X_train) for the
     rows the model was fit on (n x retained).
     """
@@ -212,13 +218,25 @@ def fit_pca(X, cum_threshold: float = 0.95, method: str = "auto",
         eigenvalues = eigenvalues[keep]
         U = vectors[:, keep]
         norms = np.sqrt((n - 1) * eigenvalues)
+        # each block's product is written over rows [:r] of its own columns,
+        # which no later block reads. No block is narrower than
+        # _MAP_BACK_COLS (the last takes the remainder), so each product runs
+        # the gemm kernel of one product over every column and sums in the
+        # same order; a narrow block could fall to gemv or a small-matrix
+        # kernel, which sum in another
+        Vt = (U / norms).T
+        r = Vt.shape[0]
+        starts = list(range(0, max(m - _MAP_BACK_COLS, 0) + 1, _MAP_BACK_COLS))
+        for a, b in zip(starts, starts[1:] + [m]):
+            Xc[:r, a:b] = Vt @ Xc[:, a:b]
         # F order: each component is a contiguous column for _fix_signs
-        components = ((U / norms).T @ Xc).T
+        components = Xc[:r].T
         signs = _fix_signs(components)
         # snapshot identity: Xc v_i = sqrt((n-1) lambda_i) u_i
         scores = U * (norms * signs)
     else:
-        components = vectors
+        # F order on both routes, so a PCA bundle's W has one layout
+        components = np.asfortranarray(vectors)
         scores = Xc @ components
     rates = contribution_rates(eigenvalues)
     retained = select_components(rates, cum_threshold)

@@ -17,8 +17,12 @@ A fit makes one working copy as large as its training rows. The first
 stage (the prescale z-score, the PCA centring, or the VAF-SVM z-score)
 gathers the rows, all of X or the indices a cross-validation fold passes
 as rows, and centres and scales that copy in place; later stages see only
-the n x k PCA scores. When VAF-SVM keeps every row as a support vector, its
+the n x k PCA scores. PCA writes its components over the copy's leading
+rows, and the PCA bundles' W is the kept columns of that view (F order),
+scaled in place. When VAF-SVM keeps every row as a support vector, its
 model holds the z-scored copy itself. No stage writes into the caller's X.
+predict_matrix takes the same rows argument, so scoring a fold's test rows
+gathers them once.
 """
 
 from __future__ import annotations
@@ -85,8 +89,8 @@ BUNDLE_VERSION = 2
 class PipelineModel:
     """Self-contained bundle: feature recipe + affine front end + classifier.
 
-    weight is m x k (PCA pipelines) or a length-m scale (VAF-SVM); offset
-    has one entry per classifier input.
+    weight is m x k in F order (PCA pipelines) or a length-m scale
+    (VAF-SVM); offset has one entry per classifier input.
     """
 
     pipeline: str
@@ -136,6 +140,9 @@ class PipelineModel:
         if offset.shape != weight.shape[-1:]:
             raise ValueError(f"bundle field 'affine' has a {weight.shape} weight "
                              f"and a {offset.shape} offset that do not compose")
+        # the layout of a fitted W: X @ W on F- and C-order weights can
+        # differ in the last bits, and a loaded bundle must score as fitted
+        weight = np.asfortranarray(weight)
         kind = FeatureKind(d["feature_kind"])
         block_grid = bins = None
         if kind is FeatureKind.GRAYSCALE:
@@ -163,6 +170,14 @@ class PipelineModel:
             return cls.from_dict(json.load(fh))
 
 
+def _row_indices(rows) -> np.ndarray:
+    """rows as a 1-D integer index array; anything else is refused."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ValueError("rows must be a 1-D array of integer row indices")
+    return rows
+
+
 def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
                  ann_seed: int | None = None,
                  val_X: np.ndarray | None = None,
@@ -185,9 +200,7 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     if targets.shape[0] != X.shape[0]:
         raise ValueError("labels length does not match X rows")
     if rows is not None:
-        rows = np.asarray(rows)
-        if rows.ndim != 1 or rows.dtype.kind not in "iu":
-            raise ValueError("rows must be a 1-D array of integer row indices")
+        rows = _row_indices(rows)
         targets = targets[rows]
     kind = pipeline_feature_kind(pid, cfg)
 
@@ -202,9 +215,8 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         X, rows = pca_model.scores, None
         if val_X is not None:
             val_X = project(pca_model, val_X)
-        # a C-order copy of the kept basis columns: W then has the layout of
-        # a bundle read back from JSON, and the full PcaModel can be dropped
-        weight = np.ascontiguousarray(pca_model.components[:, :pca_model.retained])
+        # the kept basis columns, a view that is scaled in place below
+        weight = pca_model.components[:, :pca_model.retained]
         shift = pca_model.means
         if prescale is not None:
             shift = prescale[0] / prescale[1] + shift
@@ -247,15 +259,24 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     )
 
 
-def predict_matrix(model: PipelineModel, X: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Labels and decision scores for raw feature rows (pre-PCA space)."""
+def predict_matrix(model: PipelineModel, X: np.ndarray,
+                   rows: np.ndarray | None = None) -> tuple[list[str], np.ndarray]:
+    """Labels and decision scores for raw feature rows (pre-PCA space), or
+    for the rows of X that the integer indices rows select; X is never
+    written."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.weight.shape[0]:
         raise ValueError(
             f"X has {X.shape[1]} features, the bundle expects {model.weight.shape[0]}"
         )
     W = model.weight
-    Z = X @ W if W.ndim == 2 else X * W
+    if rows is not None:
+        X = np.take(X, _row_indices(rows), axis=0)
+    if W.ndim == 2:
+        Z = X @ W
+    else:
+        # a gather is our own copy, so VAF-SVM scales it in place
+        Z = X * W if rows is None else np.multiply(X, W, out=X)
     Z += model.offset
     if isinstance(model.classifier, svm.SvmModel):
         scores = svm.decision_batch(model.classifier, Z)

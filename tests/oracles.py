@@ -1,8 +1,9 @@
 """Independent oracles the tests compare against.
 
 These deliberately avoid the library's own algorithms: eigenvalues come
-from bisection on inertia counts, the SVM dual is solved by exhaustive
-active-set enumeration (exact for tiny problems), derivatives come from
+from bisection on inertia counts, Gram-route components from one product
+over all columns, the SVM dual is solved by exhaustive active-set
+enumeration (exact for tiny problems), derivatives come from
 central finite differences, kernels, SVM decisions and network outputs
 are evaluated one sample at a time, and grayscale statistics one box at a
 time with np.histogram.
@@ -62,6 +63,14 @@ def eigenvalues_bisect(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
                 lo = mid
         eigs.append(0.5 * (lo + hi))
     return np.array(sorted(eigs, reverse=True))
+
+
+# --- PCA map-back as one product --------------------------------------------
+
+def map_back(Xc: np.ndarray, U: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Gram-route components Xc^T u_i / ||Xc^T u_i|| (m x r), from a single
+    product over every column of the centred rows Xc."""
+    return ((U / norms).T @ Xc).T
 
 
 # --- single-sample kernel, SVM decision and network output -------------------

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import eigenvalues_bisect
-from voxelcad.pca import (PcaModel, center, contribution_rates, covariance,
-                          eigen_symmetric, fit_pca, project,
+from oracles import eigenvalues_bisect, map_back
+from voxelcad.pca import (_MAP_BACK_COLS, PcaModel, center, contribution_rates,
+                          covariance, eigen_symmetric, fit_pca, project,
                           select_components)
 
 SQ2 = np.sqrt(2.0)
@@ -243,6 +243,28 @@ def test_gram_route_sign_convention_breaks_ties_by_first_entry(rng):
     assert np.argmax(np.abs(v)) == 0
     assert v[0] > 0.0
     assert _peaks_are_positive(model.components)
+
+
+@pytest.mark.parametrize("m", [_MAP_BACK_COLS - 1, _MAP_BACK_COLS, _MAP_BACK_COLS + 1,
+                               3 * _MAP_BACK_COLS + 7])
+def test_blocked_map_back_equals_one_product(m, rng):
+    # widths around the column block; with 40 rows every block's product
+    # is a full gemm, as on a cross-validation fold of voxel rows
+    n = 40
+    X = rng.normal(size=(n, m)) * rng.uniform(0.1, 3.0, size=m)
+    model = fit_pca(X, cum_threshold=1.0, method="gram")
+    V = model.components
+    r = V.shape[1]
+    assert r == n - 1   # the map-back overwrites every centred row but one
+    Xc, _ = center(X)
+    G = Xc @ Xc.T / (n - 1)
+    _, U = eigen_symmetric(np.triu(G) + np.triu(G, 1).T)
+    want = map_back(Xc, U[:, :r], np.sqrt((n - 1) * model.eigenvalues))
+    # bit for bit, up to the sign fix of each column
+    assert np.all((V == want).all(axis=0) | (V == -want).all(axis=0))
+    assert V.flags.f_contiguous
+    assert _peaks_are_positive(V)
+    assert np.max(np.abs(V.T @ V - np.eye(r))) <= 1e-10
 
 
 @pytest.mark.parametrize("method, shape", [("gram", (12, 300)), ("gram", (20, 600)),

@@ -140,6 +140,9 @@ def test_bundle_round_trip_preserves_predictions(tmp_path, small_grayscale,
         labels_b, scores_b = predict_matrix(back, fm.values)
         assert labels_a == labels_b
         assert np.array_equal(scores_a, scores_b)
+        # X @ W can differ in the last bits between F- and C-order weights
+        assert back.weight.flags.f_contiguous == model.weight.flags.f_contiguous
+        assert back.weight.flags.c_contiguous == model.weight.flags.c_contiguous
         if pid.endswith("SVM"):
             # a model that keeps every training row holds them in C order,
             # the layout of its JSON round trip
@@ -283,25 +286,61 @@ def test_fit_pipeline_rejects_rows_that_are_not_indices(small_grayscale, small_r
     fm = small_grayscale
     mask = np.zeros(fm.values.shape[0], dtype=bool)
     mask[:10] = True
-    with pytest.raises(ValueError, match="integer row indices"):
-        fit_pipeline("PCA-SVM", fm.values, fm.labels, small_runconfig, rows=mask)
+    model = _fit("PCA-SVM", fm, small_runconfig)
+    for bad in (mask, np.arange(10.0), np.arange(10).reshape(2, 5)):
+        with pytest.raises(ValueError, match="integer row indices"):
+            fit_pipeline("PCA-SVM", fm.values, fm.labels, small_runconfig, rows=bad)
+        with pytest.raises(ValueError, match="integer row indices"):
+            predict_matrix(model, fm.values, rows=bad)
 
 
-def test_vaf_svm_fold_fit_allocates_one_working_copy(rng, small_runconfig):
-    # a wide fold, like a VAF one: numpy reports its array buffers to
-    # tracemalloc, so the traced peak counts every copy of the training rows,
-    # independent of the C heap's layout
+@pytest.mark.parametrize("pid", PIPELINES)
+def test_predict_matrix_on_rows_equals_predict_on_the_sliced_rows(pid, small_grayscale,
+                                                                  small_vaf,
+                                                                  small_runconfig):
+    fm = small_vaf if pid == "VAF-SVM" else small_grayscale
+    model = _fit(pid, fm, small_runconfig, ann_seed=2)
+    X = _read_only(fm.values)
+    idx = np.array([7, 0, 3, 3, X.shape[0] - 1])
+    labels_a, scores_a = predict_matrix(model, X, rows=_read_only(idx))
+    labels_b, scores_b = predict_matrix(model, X[idx])
+    assert labels_a == labels_b
+    assert np.array_equal(scores_a, scores_b)
+
+
+def _wide_fold_fit(pid, cfg, rng):
+    """Fit pid on 40 of 50 rows 20,000 wide, like a VAF fold: (model, the
+    tracemalloc peak over the fold's training-row bytes). numpy reports its
+    array buffers to tracemalloc, so the traced peak counts every copy of
+    the training rows, independent of the C heap's layout. A narrow fit
+    runs first, untraced, so that one-off lazy imports (np.median imports
+    numpy.ma on first use) do not count."""
     n, m = 50, 20_000
     X = rng.normal(size=(n, m))
     labels = ["AD"] * 35 + ["HC"] * 15
     rows = np.arange(5, 45)
-    fold_bytes = rows.size * m * X.itemsize
+    fit_pipeline(pid, X[:, :100], labels, cfg, ann_seed=3, rows=rows)
     tracemalloc.start()
     try:
-        model = fit_pipeline("VAF-SVM", X, labels, small_runconfig, rows=rows)
+        model = fit_pipeline(pid, X, labels, cfg, ann_seed=3, rows=rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return model, peak / (rows.size * m * X.itemsize)
+
+
+def test_vaf_svm_fold_fit_allocates_one_working_copy(rng, small_runconfig):
+    model, peak = _wide_fold_fit("VAF-SVM", small_runconfig, rng)
     # the Gaussian preset keeps every row of such a fold as a support vector
-    assert model.classifier.support_vectors.shape[0] == rows.size
-    assert peak <= 1.25 * fold_bytes, peak / fold_bytes
+    assert model.classifier.support_vectors.shape[0] == 40
+    assert peak <= 1.25, peak
+
+
+@pytest.mark.parametrize("pid", ["PCA-SVM", "PCA-ANN"])
+def test_pca_fold_fit_allocates_one_working_copy(pid, rng, small_runconfig):
+    # the components are mapped back into the centred copy's own rows and
+    # W is a view of them, so the fold's rows are copied once
+    cfg = dataclasses.replace(small_runconfig, pca_prescale=False)
+    model, peak = _wide_fold_fit(pid, cfg, rng)
+    assert model.weight.shape[0] == 20_000
+    assert peak <= 1.25, peak
