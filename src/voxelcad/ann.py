@@ -56,11 +56,6 @@ class Trainer(enum.Enum):
     GDM = "GDM"
 
 
-def tansig(n):
-    """2 / (1 + exp(-2n)) - 1; saturates to +/-1 without overflow."""
-    return np.tanh(n)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     hidden: int = 100

@@ -9,12 +9,13 @@ slice only drives ANN early stopping; SVM training ignores it.
 Every fold refits standardization, PCA, and the classifier on its own
 training rows, so no test information leaks into fitted parameters.
 cross_validate hands fit_pipeline the whole feature matrix and the fold's
-row indices, so the fit's own gather is the only copy of the training
-rows; validation rows are gathered only for PCA-ANN. predict_matrix takes
-the test rows' indices the same way and gathers them once. Each PCA-ANN
-fold reports the early-stopping epoch whose weights it kept (0 is the
-mean-target network, which predicts the training majority), and the notes
-count those fallbacks.
+training and validation row indices, so the fit's own gather is the only
+copy of the training rows; PCA-ANN gathers its validation rows once, into
+the composed front end. predict_matrix takes the test rows' indices the
+same way and gathers them once. Each PCA-ANN fold reports the
+early-stopping epoch whose weights it kept (0 is the mean-target network,
+which predicts the training majority), and the notes count those
+fallbacks.
 
 A report's mean metrics are micro-averages: they are recomputed from the
 summed confusion counts, which makes "mean equals aggregate" an identity
@@ -298,14 +299,11 @@ def cross_validate(manifest_path, pipelines, cfg: RunConfig) -> list[EvalReport]
         for i, sp in enumerate(splits):
             try:
                 t0 = time.perf_counter()
-                # only the ANN reads the validation rows (early stopping)
-                use_val = sp.val.size and not pid.endswith("SVM")
                 model = fit_pipeline(
                     pid, X, lab, cfg,
                     ann_seed=_fold_seed(cfg.seed, pid, i),
-                    val_X=X[sp.val] if use_val else None,
-                    val_labels=lab[sp.val] if use_val else None,
                     rows=sp.train,
+                    val_rows=sp.val if sp.val.size else None,
                 )
                 t_train = time.perf_counter() - t0
                 history = getattr(model.classifier, "history", None) or {}

@@ -39,7 +39,6 @@ import csv
 import enum
 import functools
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -263,35 +262,3 @@ def save_feature_matrix(fm: FeatureMatrix, path) -> None:
             row = [fm.subject_ids[i], fm.labels[i]]
             row.extend(format(x, ".17g") for x in fm.values[i])
             writer.writerow(row)
-
-
-def load_feature_matrix(path, kind: FeatureKind = FeatureKind.GRAYSCALE,
-                        block_grid: tuple[int, int, int] | None = None) -> FeatureMatrix:
-    """Load a feature CSV written by save_feature_matrix.
-
-    The CSV does not carry the extraction config, so kind/block_grid must be
-    supplied by the caller when they matter downstream.
-    """
-    path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["subject_id", "label"]:
-            raise ValueError(f"{path}: expected header subject_id,label,f0..")
-        m = len(header) - 2
-        subject_ids, labels, data = [], [], []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != m + 2:
-                raise ValueError(f"{path}:{lineno}: expected {m + 2} fields")
-            subject_ids.append(rec[0])
-            labels.append(rec[1])
-            data.append([float(x) for x in rec[2:]])
-    return FeatureMatrix(
-        values=np.array(data, dtype=np.float64).reshape(len(data), m),
-        labels=tuple(labels),
-        subject_ids=tuple(subject_ids),
-        feature_kind=kind,
-        block_grid=tuple(block_grid) if block_grid else None,
-    )

@@ -22,7 +22,8 @@ rows, and the PCA bundles' W is the kept columns of that view (F order),
 scaled in place. When VAF-SVM keeps every row as a support vector, its
 model holds the z-scored copy itself. No stage writes into the caller's X.
 predict_matrix takes the same rows argument, so scoring a fold's test rows
-gathers them once.
+gathers them once. PCA-ANN's validation rows are indices into the same X
+too: once W and b are composed, they go through the same map as test rows.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .bundlefields import array_field, object_field
 from .config import RunConfig
 from .features import FeatureKind, block_features, check_recipe, vaf_features
 from .labels import from_sign, to_sign
-from .pca import center, fit_pca, project
+from .pca import center, fit_pca
+from .pca import project  # not called here; perfbench/tracing.py wraps this name
 from .volume import Volume
 
 PIPELINES = ("PCA-SVM", "PCA-ANN", "VAF-SVM")
@@ -75,11 +77,6 @@ def standardize(X: np.ndarray, rows: np.ndarray | None = None
         sigmas[~(sigmas > 0.0)] = 1.0
     Xs /= sigmas
     return Xs, means, sigmas
-
-
-def apply_standardization(X: np.ndarray, std) -> np.ndarray:
-    means, sigmas = std
-    return (np.asarray(X, dtype=np.float64) - means) / sigmas
 
 
 BUNDLE_VERSION = 2
@@ -170,19 +167,37 @@ class PipelineModel:
             return cls.from_dict(json.load(fh))
 
 
-def _row_indices(rows) -> np.ndarray:
-    """rows as a 1-D integer index array; anything else is refused."""
+def _row_indices(rows) -> np.ndarray | None:
+    """rows as a 1-D integer index array (None stays None); anything else
+    is refused."""
+    if rows is None:
+        return None
     rows = np.asarray(rows)
     if rows.ndim != 1 or rows.dtype.kind not in "iu":
         raise ValueError("rows must be a 1-D array of integer row indices")
     return rows
 
 
+def _affine(X: np.ndarray, W: np.ndarray, offset: np.ndarray,
+            rows: np.ndarray | None) -> np.ndarray:
+    """The composed front end, x W + b (x * w + b for VAF-SVM), on the rows
+    of X that the integer indices rows select, or on every row; X is never
+    written."""
+    if rows is not None:
+        X = np.take(X, rows, axis=0)
+    if W.ndim == 2:
+        Z = X @ W
+    else:
+        # a gather is our own copy, so VAF-SVM scales it in place
+        Z = X * W if rows is None else np.multiply(X, W, out=X)
+    Z += offset
+    return Z
+
+
 def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
                  ann_seed: int | None = None,
-                 val_X: np.ndarray | None = None,
-                 val_labels=None,
-                 rows: np.ndarray | None = None) -> PipelineModel:
+                 rows: np.ndarray | None = None,
+                 val_rows: np.ndarray | None = None) -> PipelineModel:
     """Fit one preset on already-extracted features.
 
     X rows must match pipeline_feature_kind(pipeline, cfg), with one label
@@ -191,30 +206,29 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     front-end stage (the pca_prescale z-score, the PCA centring, or the
     VAF-SVM z-score) gathers the rows and centres them in place, so that
     copy is the fit's only working array as large as the training rows,
-    and X itself is never written. The validation set drives ANN early
-    stopping only; SVM training ignores it.
+    and X itself is never written. val_rows, integer indices into the same
+    X and labels, are the validation rows: they drive ANN early stopping
+    only, through the composed front end like test rows; SVM training
+    ignores them.
     """
     pid = canonical_pipeline(pipeline)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    targets = np.array([to_sign(l) for l in labels], dtype=np.float64)
-    if targets.shape[0] != X.shape[0]:
+    signs = np.array([to_sign(l) for l in labels], dtype=np.float64)
+    if signs.shape[0] != X.shape[0]:
         raise ValueError("labels length does not match X rows")
-    if rows is not None:
-        rows = _row_indices(rows)
-        targets = targets[rows]
+    rows, val_rows = _row_indices(rows), _row_indices(val_rows)
+    targets = signs if rows is None else signs[rows]
     kind = pipeline_feature_kind(pid, cfg)
 
+    # F, fit_rows: the rows the next stage fits; X stays the caller's matrix
+    F, fit_rows = X, rows
     prescale = None
     if pid in ("PCA-SVM", "PCA-ANN"):
         if cfg.pca_prescale:
-            X, *prescale = standardize(X, rows)
-            rows = None     # X is now the fold's own z-scored copy
-            if val_X is not None:
-                val_X = apply_standardization(val_X, prescale)
-        pca_model = fit_pca(X, cum_threshold=cfg.pca_threshold, rows=rows)
-        X, rows = pca_model.scores, None
-        if val_X is not None:
-            val_X = project(pca_model, val_X)
+            F, *prescale = standardize(X, rows)
+            fit_rows = None     # F is now the fold's own z-scored copy
+        pca_model = fit_pca(F, cum_threshold=cfg.pca_threshold, rows=fit_rows)
+        F, fit_rows = pca_model.scores, None
         # the kept basis columns, a view that is scaled in place below
         weight = pca_model.components[:, :pca_model.retained]
         shift = pca_model.means
@@ -225,7 +239,7 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
             weight /= prescale[1][:, None]
         del pca_model
 
-    Xs, means, sigmas = standardize(X, rows)
+    Xs, means, sigmas = standardize(F, fit_rows)
     if pid == "VAF-SVM":
         # composed in place in standardize's means and sigmas, which the fit
         # no longer needs: two fewer m-wide allocations per fit
@@ -241,9 +255,9 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
                                    tol=cfg.svm_tol)
     else:
         vXs = vt = None
-        if val_X is not None:
-            vXs = apply_standardization(val_X, (means, sigmas))
-            vt = np.array([to_sign(l) for l in val_labels], dtype=np.float64)
+        if val_rows is not None:
+            vXs = _affine(X, weight, offset, val_rows)
+            vt = signs[val_rows]
         train_cfg = cfg.train_config(seed=ann_seed)
         classifier = ann.train_ann(Xs, targets, train_cfg, val_X=vXs, val_targets=vt)
 
@@ -269,15 +283,7 @@ def predict_matrix(model: PipelineModel, X: np.ndarray,
         raise ValueError(
             f"X has {X.shape[1]} features, the bundle expects {model.weight.shape[0]}"
         )
-    W = model.weight
-    if rows is not None:
-        X = np.take(X, _row_indices(rows), axis=0)
-    if W.ndim == 2:
-        Z = X @ W
-    else:
-        # a gather is our own copy, so VAF-SVM scales it in place
-        Z = X * W if rows is None else np.multiply(X, W, out=X)
-    Z += model.offset
+    Z = _affine(X, model.weight, model.offset, _row_indices(rows))
     if isinstance(model.classifier, svm.SvmModel):
         scores = svm.decision_batch(model.classifier, Z)
     else:

@@ -213,7 +213,11 @@ def solve_dual(X: np.ndarray, y: np.ndarray, C: float, kernel: KernelSpec,
 def _bias_from_state(F, alpha, y, C, snap) -> float:
     free = (alpha > snap) & (alpha < C - snap)
     if np.any(free):
-        return float(np.median(-F[free]))
+        # np.median's bits without its first-call import of numpy.ma
+        v = -F[free]
+        lo, hi = (v.size - 1) // 2, v.size // 2
+        v = np.partition(v, [lo, hi])
+        return float((v[lo] + v[hi]) / 2)
     up = ((y > 0) & (alpha < C - snap)) | ((y < 0) & (alpha > snap))
     low = ((y > 0) & (alpha > snap)) | ((y < 0) & (alpha < C - snap))
     return float(-(np.min(F[up]) + np.max(F[low])) / 2.0)

@@ -322,9 +322,9 @@ def test_criterion_6_cross_validation_protocol(cohort300, full_reports):
         X_bad[sp.test] = rng.normal(size=(sp.test.size, X.shape[1])) * 5.0 + 1.0
         digests = []
         for data in (X, X_bad):
-            model = fit_pipeline(pid, data[sp.train], lab[sp.train], cfg,
+            model = fit_pipeline(pid, data, lab, cfg,
                                  ann_seed=_fold_seed(cfg.seed, pid, 0),
-                                 val_X=data[sp.val], val_labels=lab[sp.val])
+                                 rows=sp.train, val_rows=sp.val)
             digests.append(_model_digest(model))
             del model
         leak_ok &= digests[0] == digests[1]

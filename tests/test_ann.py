@@ -6,7 +6,7 @@ import pytest
 from oracles import fd_gradient, fd_jacobian, forward
 from voxelcad.ann import (Activation, AnnError, AnnModel, TrainConfig,
                           Trainer, _init_params, _j_v, _jt_v, _forward_parts,
-                          _unpack, forward_batch, gradient, jacobian, tansig,
+                          _unpack, forward_batch, gradient, jacobian,
                           train_ann, train_gdm, train_lm)
 from voxelcad.labels import from_sign
 
@@ -17,13 +17,6 @@ LINE_T = 0.5 * LINE_X[:, 0]
 def _model(w1, b1, w2, b2, activation=Activation.TANSIG):
     return AnnModel(w1=np.asarray(w1, dtype=float), b1=b1, w2=w2, b2=b2,
                     activation=activation)
-
-
-def test_tansig_examples():
-    assert tansig(0.0) == 0.0
-    assert tansig(np.inf) == 1.0
-    assert tansig(-np.inf) == -1.0
-    assert abs(tansig(1.0) - 0.761594) <= 1e-6
 
 
 def test_forward_hand_examples():

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -11,9 +12,16 @@ import pytest
 import voxelcad
 from voxelcad import __version__
 from voxelcad.cli import build_parser, dispatch
-from voxelcad.features import (FeatureKind, build_feature_matrix,
-                               load_feature_matrix)
+from voxelcad.features import FeatureKind, build_feature_matrix
 from voxelcad.manifest import read_manifest
+
+
+def _extract_values(path) -> np.ndarray:
+    """The feature values of an extract CSV (subject_id,label,f0..)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *records = csv.reader(fh)
+    assert header[:2] == ["subject_id", "label"]
+    return np.array([[float(x) for x in rec[2:]] for rec in records])
 
 
 @pytest.fixture(scope="module")
@@ -90,11 +98,11 @@ def test_extract_flags_override_config(tmp_path, small_dataset, capsys):
                      "--bins", "4"])
     assert code == 0
     capsys.readouterr()
-    got = load_feature_matrix(out)
+    got = _extract_values(out)
     want = build_feature_matrix(manifest, FeatureKind.GRAYSCALE,
                                 block_grid=(2, 2, 2), bins=4)
-    assert np.array_equal(got.values, want.values)
-    assert got.values.shape == (20, 2 * 2 * 2 * 6)
+    assert np.array_equal(got, want.values)
+    assert got.shape == (20, 2 * 2 * 2 * 6)
 
 
 def test_extract_vaf_features(tmp_path, small_dataset, capsys):
@@ -104,7 +112,7 @@ def test_extract_vaf_features(tmp_path, small_dataset, capsys):
                      "--out", str(out), "--features", "vaf"])
     assert code == 0
     capsys.readouterr()
-    assert load_feature_matrix(out).values.shape == (20, 8 * 9 * 7)
+    assert _extract_values(out).shape == (20, 8 * 9 * 7)
 
 
 def test_train_then_predict(svm_bundle, small_dataset, capsys):

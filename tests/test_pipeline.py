@@ -8,10 +8,10 @@ import pytest
 from voxelcad.ann import AnnModel, forward_batch
 from voxelcad.evaluation import stratified_split
 from voxelcad.features import FeatureKind
-from voxelcad.labels import from_sign
+from voxelcad.labels import from_sign, to_sign
 from voxelcad.manifest import read_manifest
 from voxelcad.pca import fit_pca, project
-from voxelcad.pipeline import (PIPELINES, PipelineModel, apply_standardization,
+from voxelcad.pipeline import (PIPELINES, PipelineModel,
                                canonical_pipeline, fit_pipeline,
                                pipeline_feature_kind, predict_matrix,
                                predict_volume, standardize)
@@ -40,7 +40,7 @@ def test_standardization_hand_example():
     Z, means, sigmas = standardize(X)
     assert np.array_equal(means, [2.0, 5.0])
     assert np.allclose(sigmas, [np.sqrt(2.0), np.sqrt(8.0)], atol=1e-15)
-    assert np.array_equal(Z, apply_standardization(X, (means, sigmas)))
+    assert np.array_equal(Z, (X - means) / sigmas)
     assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-15)
     assert np.allclose(Z.std(axis=0, ddof=1), 1.0, atol=1e-12)
 
@@ -110,10 +110,18 @@ def test_ann_seed_controls_initialization(small_grayscale, small_runconfig):
 def test_validation_slice_feeds_ann_early_stopping(small_grayscale,
                                                    small_runconfig):
     fm = small_grayscale
-    model = _fit("PCA-ANN", fm, small_runconfig, ann_seed=3,
-                 val_X=fm.values[:4], val_labels=fm.labels[:4])
-    assert model.classifier.history["val_sse"] is not None
-    plain = _fit("PCA-ANN", fm, small_runconfig, ann_seed=3)
+    train, val = np.arange(4, fm.values.shape[0]), np.arange(4)
+    model = _fit("PCA-ANN", fm, small_runconfig, ann_seed=3, rows=train, val_rows=val)
+    history = model.classifier.history
+    assert history["val_sse"] is not None
+    # the validation rows go through the same composed front end as test
+    # rows, so the kept network's SSE on them is the one early stopping saw
+    _, scores = predict_matrix(model, fm.values, rows=val)
+    targets = np.array([to_sign(l) for l in fm.labels[:4]])
+    sse = float(np.sum((scores - targets) ** 2))
+    assert np.isclose(sse, history["val_sse"][history["early_stop_epoch"]],
+                      rtol=1e-12, atol=0.0)
+    plain = _fit("PCA-ANN", fm, small_runconfig, ann_seed=3, rows=train)
     assert plain.classifier.history["val_sse"] is None
 
 
@@ -274,9 +282,13 @@ def test_a_fit_on_rows_equals_a_fit_on_the_sliced_rows(pid, kind, prescale,
     X = _read_only(fm.values)
     train, val = _fold(fm)
     labels = np.asarray(fm.labels, dtype=object)
-    kw = dict(ann_seed=6, val_X=_read_only(X[val]), val_labels=labels[val])
-    on_rows = fit_pipeline(pid, X, labels, cfg, rows=_read_only(train), **kw)
-    sliced = fit_pipeline(pid, _read_only(X[train]), labels[train], cfg, **kw)
+    on_rows = fit_pipeline(pid, X, labels, cfg, ann_seed=6, rows=_read_only(train),
+                           val_rows=_read_only(val))
+    # the same rows and validation rows, as indices into X[train ∪ val]
+    both = np.concatenate([train, val])
+    sliced = fit_pipeline(pid, _read_only(X[both]), labels[both], cfg, ann_seed=6,
+                          rows=np.arange(train.size),
+                          val_rows=np.arange(train.size, both.size))
     assert on_rows.to_dict() == sliced.to_dict()
     _, scores = predict_matrix(on_rows, X)
     assert np.all(np.isfinite(scores))
@@ -290,6 +302,10 @@ def test_fit_pipeline_rejects_rows_that_are_not_indices(small_grayscale, small_r
     for bad in (mask, np.arange(10.0), np.arange(10).reshape(2, 5)):
         with pytest.raises(ValueError, match="integer row indices"):
             fit_pipeline("PCA-SVM", fm.values, fm.labels, small_runconfig, rows=bad)
+        for pid in ("PCA-SVM", "PCA-ANN"):
+            with pytest.raises(ValueError, match="integer row indices"):
+                fit_pipeline(pid, fm.values, fm.labels, small_runconfig,
+                             rows=np.arange(10, 20), val_rows=bad)
         with pytest.raises(ValueError, match="integer row indices"):
             predict_matrix(model, fm.values, rows=bad)
 
@@ -308,21 +324,21 @@ def test_predict_matrix_on_rows_equals_predict_on_the_sliced_rows(pid, small_gra
     assert np.array_equal(scores_a, scores_b)
 
 
-def _wide_fold_fit(pid, cfg, rng):
+def _wide_fold_fit(pid, cfg, rng, val_rows=None):
     """Fit pid on 40 of 50 rows 20,000 wide, like a VAF fold: (model, the
     tracemalloc peak over the fold's training-row bytes). numpy reports its
     array buffers to tracemalloc, so the traced peak counts every copy of
     the training rows, independent of the C heap's layout. A narrow fit
-    runs first, untraced, so that one-off lazy imports (np.median imports
-    numpy.ma on first use) do not count."""
+    runs first, untraced, so that one-off lazy imports do not count."""
     n, m = 50, 20_000
     X = rng.normal(size=(n, m))
     labels = ["AD"] * 35 + ["HC"] * 15
     rows = np.arange(5, 45)
-    fit_pipeline(pid, X[:, :100], labels, cfg, ann_seed=3, rows=rows)
+    kw = dict(ann_seed=3, rows=rows, val_rows=val_rows)
+    fit_pipeline(pid, X[:, :100], labels, cfg, **kw)
     tracemalloc.start()
     try:
-        model = fit_pipeline(pid, X, labels, cfg, ann_seed=3, rows=rows)
+        model = fit_pipeline(pid, X, labels, cfg, **kw)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -339,8 +355,13 @@ def test_vaf_svm_fold_fit_allocates_one_working_copy(rng, small_runconfig):
 @pytest.mark.parametrize("pid", ["PCA-SVM", "PCA-ANN"])
 def test_pca_fold_fit_allocates_one_working_copy(pid, rng, small_runconfig):
     # the components are mapped back into the centred copy's own rows and
-    # W is a view of them, so the fold's rows are copied once
+    # W is a view of them, so the fold's rows are copied once; PCA-ANN's
+    # validation rows (5 here, like a fold's 8 beside 56 training rows) are
+    # gathered once, into the composed front end
     cfg = dataclasses.replace(small_runconfig, pca_prescale=False)
-    model, peak = _wide_fold_fit(pid, cfg, rng)
+    val_rows = np.arange(45, 50) if pid == "PCA-ANN" else None
+    model, peak = _wide_fold_fit(pid, cfg, rng, val_rows)
     assert model.weight.shape[0] == 20_000
+    if val_rows is not None:
+        assert model.classifier.history["val_sse"] is not None
     assert peak <= 1.25, peak

@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voxelcad
 from oracles import decision, kernel_eval
 from voxelcad.labels import from_sign
 from voxelcad.svm import (KernelKind, KernelSpec, SvmError, SvmModel,
-                          decision_batch, dual_objective, gram_matrix,
-                          solve_dual, train_svm)
+                          _bias_from_state, decision_batch, dual_objective,
+                          gram_matrix, solve_dual, train_svm)
 
 LIN = KernelSpec(KernelKind.LINEAR, 1.0)
 GAUSS = KernelSpec(KernelKind.GAUSSIAN, 2.8)
@@ -158,6 +163,39 @@ def test_train_filters_support_vectors(rng):
     got = decision_batch(model, X)
     want = [decision(model, x) for x in X]
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_bias_is_the_median_of_the_free_vectors_bit_for_bit(rng):
+    # all alphas free, so the bias is the median of -F, for odd and even
+    # counts, with and without ties
+    for n in (1, 2, 3, 4, 7, 10, 33, 64):
+        for F in (rng.normal(size=n) * 10.0 ** rng.integers(-8, 8),
+                  rng.integers(-2, 3, size=n).astype(float)):
+            alpha = np.full(n, 0.5)
+            y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            got = _bias_from_state(F, alpha, y, 1.0, 1e-12)
+            assert got == float(np.median(-F)), (n, F)
+
+
+def test_svm_fit_does_not_import_numpy_ma():
+    # np.median imports numpy.ma on first use; the bias must not pay that
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from voxelcad.svm import KernelKind, KernelSpec, train_svm\n"
+        "rng = np.random.default_rng(0)\n"
+        "X = np.vstack([rng.normal(size=(10, 2)) + 1, rng.normal(size=(10, 2)) - 1])\n"
+        "y = np.array([1.0] * 10 + [-1.0] * 10)\n"
+        "m = train_svm(X, y, C=1.0, kernel=KernelSpec(KernelKind.LINEAR, 1.0))\n"
+        "assert np.any(m.alphas < m.C * (1 - 1e-9)), 'no free support vector'\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(voxelcad.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_sign_rule_ties_go_to_hc():
