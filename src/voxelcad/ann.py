@@ -6,10 +6,9 @@ coded AD = +1, HC = -1 and the loss is the sum of squared errors
 E = sum_i (y_i - t_i)^2 + lambda * ||theta||^2.
 
 Levenberg-Marquardt: solve (J^T J + (mu + lambda) I) delta = J^T r +
-lambda * theta and step theta -= delta; mu shrinks by mu_dec on accepted
-steps and grows by mu_inc on rejected ones. When the parameter count
-exceeds the sample count the same step is computed through the n x n
-system (J J^T + c I) without forming J^T J:
+lambda * theta and step theta -= delta; mu starts at MU0, shrinks by
+MU_DEC on accepted steps and grows by MU_INC on rejected ones. Every step
+is computed through the n x n system (J J^T + c I) without forming J^T J:
 
     delta = (g - J^T (J J^T + c I)^{-1} (J g)) / c,   c = mu + lambda
 
@@ -19,25 +18,33 @@ no h*d-sized matrix is ever materialized.
 GDM: full-batch gradient descent with momentum, v <- momentum*v - lr*gradE,
 theta <- theta + v.
 
-Both trainers stop on max_iters, on train SSE <= goal_sse, on mu > mu_max
-(LM), and optionally early-stop when a validation set is supplied and its
-SSE has not improved for `patience` consecutive iterations; the weights
-with the best validation SSE are restored. The iteration-0 candidate is
-the mean-target network (the random hidden layer, w2 = 0, b2 = mean of the
-training targets), the least-squares fit that ignores its inputs, so a
-trained iterate is returned only when it beats that constant on validation.
-Training itself still starts from the random draw.
+Both trainers run the same loop (_train) and supply only their steps. It
+stops on max_iters, on train SSE <= goal_sse, when the steps run out (LM:
+mu > MU_MAX without an improving step), and optionally early-stops when a
+validation set is supplied and its SSE has not improved for `patience`
+consecutive iterations; the weights with the best validation SSE are
+restored. The iteration-0 candidate is the mean-target network (the random
+hidden layer, w2 = 0, b2 = mean of the training targets), the
+least-squares fit that ignores its inputs, so a trained iterate is
+returned only when it beats that constant on validation. Training itself
+still starts from the random draw.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bundlefields import array_field, number_field
 
+# Levenberg-Marquardt damping schedule
+MU0 = 1e-3
+MU_INC = 10.0
+MU_DEC = 0.1
+MU_MAX = 1e10
 _MU_FLOOR = 1e-300      # keeps the damping term a normal float
 _DIVERGENCE_LOSS = 1e12
 
@@ -63,10 +70,6 @@ class TrainConfig:
     trainer: Trainer = Trainer.LM
     max_iters: int = 1000
     goal_sse: float = 1e-6
-    mu0: float = 1e-3
-    mu_inc: float = 10.0
-    mu_dec: float = 0.1
-    mu_max: float = 1e10
     lr: float = 0.01
     momentum: float = 0.9
     lambda_: float = 0.0
@@ -80,8 +83,6 @@ class TrainConfig:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if not self.mu0 > 0:
-            raise ValueError("mu0 must be > 0")
         if self.lambda_ < 0:
             raise ValueError("lambda_ must be >= 0")
         if self.patience < 1:
@@ -193,7 +194,8 @@ def _forward_parts(theta, X, d, h, activation):
 
 def jacobian(theta: np.ndarray, X: np.ndarray, d: int, h: int,
              activation: Activation) -> np.ndarray:
-    """Explicit n x p Jacobian of the residuals; used when p <= n and in tests."""
+    """Explicit n x p Jacobian of the residuals. LM never forms it (every
+    step solves the n x n system); the tests check _lm_step against it."""
     n = X.shape[0]
     _, A, D = _forward_parts(theta, X, d, h, activation)
     J = np.empty((n, h * d + 2 * h + 1))
@@ -234,54 +236,23 @@ def _sse(theta, X, targets, d, h, activation) -> float:
 
 
 def _lm_step(theta, X, targets, d, h, activation, mu, lambda_):
-    """One damped Gauss-Newton solve; returns the step or None when singular."""
-    n, p = X.shape[0], theta.size
+    """One damped Gauss-Newton step through the n x n system J J^T + c I,
+    assembled from n x n Gram pieces; returns the step or None when singular."""
     y, A, D = _forward_parts(theta, X, d, h, activation)
     r = y - targets
     g = _jt_v(r, X, A, D) + lambda_ * theta
     c = mu + lambda_
+    DDt = D @ D.T
+    M = DDt * (X @ X.T) + DDt + A @ A.T + 1.0
+    M[np.diag_indices_from(M)] += c
     try:
-        if p <= n:
-            J = jacobian(theta, X, d, h, activation)
-            H = J.T @ J
-            H[np.diag_indices_from(H)] += c
-            delta = np.linalg.solve(H, g)
-        else:
-            # dual form: J J^T assembled from n x n Gram pieces
-            DDt = D @ D.T
-            M = DDt * (X @ X.T) + DDt + A @ A.T + 1.0
-            M[np.diag_indices_from(M)] += c
-            u = np.linalg.solve(M, _j_v(g, X, A, D, d, h))
-            delta = (g - _jt_v(u, X, A, D)) / c
+        u = np.linalg.solve(M, _j_v(g, X, A, D, d, h))
     except np.linalg.LinAlgError:
         return None
+    delta = (g - _jt_v(u, X, A, D)) / c
     if not np.all(np.isfinite(delta)):
         return None
     return delta
-
-
-@dataclass
-class _EarlyStop:
-    """Patience counter over validation SSE with best-theta tracking."""
-
-    patience: int
-    best_sse: float = np.inf
-    best_theta: np.ndarray | None = None
-    best_epoch: int = -1
-    epochs: int = 0
-    bad_run: int = 0
-
-    def update(self, sse: float, theta: np.ndarray) -> bool:
-        """Record one iteration; True means stop now."""
-        self.epochs += 1
-        if sse < self.best_sse:
-            self.best_sse = sse
-            self.best_theta = theta.copy()
-            self.best_epoch = self.epochs - 1
-            self.bad_run = 0
-            return False
-        self.bad_run += 1
-        return self.bad_run >= self.patience
 
 
 def _check_training_inputs(X, targets, val_X, val_targets):
@@ -304,143 +275,126 @@ def _check_training_inputs(X, targets, val_X, val_targets):
         val_targets = np.asarray(val_targets, dtype=np.float64).ravel()
         if val_X.shape[1] != X.shape[1] or val_X.shape[0] != val_targets.shape[0]:
             raise ValueError("validation set shape mismatch")
+        if not (np.all(np.isfinite(val_X)) and np.all(np.isfinite(val_targets))):
+            raise ValueError("validation set must be finite")
     return X, targets, val_X, val_targets
 
 
-def _start_early_stop(theta, targets, val_X, val_targets, d, h, cfg, history):
-    """Seed early stopping with the mean-target network as iteration 0.
-
-    The candidate keeps theta's hidden layer and sets w2 = 0 and
-    b2 = mean(targets); its validation SSE becomes history["val_sse"][0].
-    """
-    if val_X is None:
-        return None
-    prior = theta.copy()
-    prior[h * d + h:] = 0.0
-    prior[-1] = targets.mean()
-    stopper = _EarlyStop(cfg.patience)
-    v = _sse(prior, val_X, val_targets, d, h, cfg.activation)
-    history["val_sse"] = [v]
-    stopper.update(v, prior)
-    return stopper
-
-
-def _finish(theta, d, h, cfg, history, stopper):
-    if stopper is not None and stopper.best_theta is not None:
-        theta = stopper.best_theta
-        history["early_stop_epoch"] = stopper.best_epoch
-    w1, b1, w2, b2 = _unpack(theta, d, h)
-    return AnnModel(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=float(b2),
-                    activation=cfg.activation, history=history)
-
-
-def train_lm(X, targets, cfg: TrainConfig = TrainConfig(),
-             val_X=None, val_targets=None) -> AnnModel:
-    """Levenberg-Marquardt training; accepted-step SSE is non-increasing.
-
-    With a validation set, the returned weights are the iterate with the
-    lowest validation SSE, where iteration 0 is the mean-target network and
-    history["val_sse"][0] is its SSE (see _start_early_stop); its index in
-    history["val_sse"] is history["early_stop_epoch"].
+def _train(steps, X, targets, cfg, val_X, val_targets, **history) -> AnnModel:
+    """The loop both trainers share. steps(theta, loss, X, targets, cfg,
+    history) yields one (theta, loss) per iteration; history starts with the
+    trainer's own entries. With a validation set, iteration 0 is the
+    mean-target network, history["val_sse"][0] is its SSE, and the iterate
+    with the lowest validation SSE is returned; history["early_stop_epoch"]
+    is its index in history["val_sse"].
     """
     X, targets, val_X, val_targets = _check_training_inputs(X, targets, val_X, val_targets)
-    n, d = X.shape
-    h = cfg.hidden
+    d, h, act = X.shape[1], cfg.hidden, cfg.activation
     theta = _init_params(d, h, cfg.seed)
-    act = cfg.activation
-    lam = cfg.lambda_
-
     loss = _sse(theta, X, targets, d, h, act)
     if not np.isfinite(loss):
         raise AnnError("non-finite loss at iteration 0")
-    reg = loss + lam * float(theta @ theta)
-    mu = cfg.mu0
-    history = {"train_sse": [loss], "val_sse": None, "mu": [mu]}
-    stopper = _start_early_stop(theta, targets, val_X, val_targets, d, h, cfg, history)
+    history = {"train_sse": [loss], "val_sse": None, **history}
+    best = None
+    if val_X is not None:
+        best = theta.copy()
+        best[h * d + h:] = 0.0
+        best[-1] = targets.mean()
+        best_sse = _sse(best, val_X, val_targets, d, h, act)
+        best_epoch, bad_run = 0, 0
+        history["val_sse"] = [best_sse]
 
+    iterates = steps(theta, loss, X, targets, cfg, history)
     for it in range(1, cfg.max_iters + 1):
         if loss <= cfg.goal_sse:
             break
+        step = next(iterates, None)
+        if step is None:
+            break
+        theta, loss = step
+        if not np.isfinite(loss):
+            raise AnnError(f"non-finite loss at iteration {it}")
+        history["train_sse"].append(loss)
+        if best is not None:
+            v = _sse(theta, val_X, val_targets, d, h, act)
+            history["val_sse"].append(v)
+            if v < best_sse:
+                best, best_sse, best_epoch, bad_run = theta.copy(), v, it, 0
+            else:
+                bad_run += 1
+                if bad_run >= cfg.patience:
+                    break
+
+    if best is not None:
+        theta = best
+        history["early_stop_epoch"] = best_epoch
+    w1, b1, w2, b2 = _unpack(theta, d, h)
+    return AnnModel(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=float(b2),
+                    activation=act, history=history)
+
+
+def _lm_steps(theta, loss, X, targets, cfg, history):
+    """Accepted LM steps; ends when mu passes MU_MAX without an improving
+    step, and records mu after each step in history["mu"]."""
+    d, h, act, lam = X.shape[1], cfg.hidden, cfg.activation, cfg.lambda_
+    reg = loss + lam * float(theta @ theta)
+    mu = history["mu"][-1]
+    for it in itertools.count(1):
         # retry with stronger damping until the step improves the loss
-        accepted = False
         solved_once = False
-        while mu <= cfg.mu_max:
+        while mu <= MU_MAX:
             delta = _lm_step(theta, X, targets, d, h, act, mu, lam)
             if delta is None:
-                mu *= cfg.mu_inc
+                mu *= MU_INC
                 continue
             solved_once = True
             cand = theta - delta
             cand_loss = _sse(cand, X, targets, d, h, act)
             cand_reg = cand_loss + lam * float(cand @ cand)
             if cand_reg < reg:
-                theta, loss, reg = cand, cand_loss, cand_reg
-                mu = max(mu * cfg.mu_dec, _MU_FLOOR)
-                accepted = True
                 break
-            mu *= cfg.mu_inc
-        if not accepted:
+            mu *= MU_INC
+        else:
             if not solved_once:
-                raise AnnError(
-                    f"normal equations stayed singular past mu_max at iteration {it}"
-                )
-            break  # damping exhausted without improvement: converged
-        if not np.isfinite(loss):
-            raise AnnError(f"non-finite loss at iteration {it}")
-        history["train_sse"].append(loss)
+                raise AnnError(f"normal equations stayed singular past mu_max "
+                               f"at iteration {it}")
+            return  # damping exhausted without improvement: converged
+        theta, loss, reg = cand, cand_loss, cand_reg
+        mu = max(mu * MU_DEC, _MU_FLOOR)
         history["mu"].append(mu)
-        if stopper is not None:
-            v = _sse(theta, val_X, val_targets, d, h, act)
-            history["val_sse"].append(v)
-            if stopper.update(v, theta):
-                break
+        yield theta, loss
 
-    return _finish(theta, d, h, cfg, history, stopper)
+
+def _gdm_steps(theta, loss, X, targets, cfg, history):
+    """Momentum steps; raises once the loss passes the divergence limit."""
+    d, h, act = X.shape[1], cfg.hidden, cfg.activation
+    velocity = np.zeros_like(theta)
+    while True:
+        grad = gradient(theta, X, targets, d, h, act, cfg.lambda_)
+        velocity = cfg.momentum * velocity - cfg.lr * grad
+        theta = theta + velocity
+        loss = _sse(theta, X, targets, d, h, act)
+        if np.isfinite(loss) and loss > _DIVERGENCE_LOSS:
+            raise AnnError(f"training diverged (loss {loss:.3e}) "
+                           f"at learning rate {cfg.lr}")
+        yield theta, loss
+
+
+def train_lm(X, targets, cfg: TrainConfig = TrainConfig(),
+             val_X=None, val_targets=None) -> AnnModel:
+    """Levenberg-Marquardt training; accepted-step SSE is non-increasing.
+
+    Early stopping and the history entries are _train's; history["mu"]
+    adds the damping after each accepted step, starting from MU0.
+    """
+    return _train(_lm_steps, X, targets, cfg, val_X, val_targets, mu=[MU0])
 
 
 def train_gdm(X, targets, cfg: TrainConfig = TrainConfig(),
               val_X=None, val_targets=None) -> AnnModel:
-    """Full-batch gradient descent with momentum.
-
-    Early stopping works as in train_lm: iteration 0 is the mean-target
-    network, history["val_sse"][0] is its validation SSE, and
-    history["early_stop_epoch"] is the index of the returned iterate.
-    """
-    X, targets, val_X, val_targets = _check_training_inputs(X, targets, val_X, val_targets)
-    n, d = X.shape
-    h = cfg.hidden
-    theta = _init_params(d, h, cfg.seed)
-    act = cfg.activation
-    lam = cfg.lambda_
-    velocity = np.zeros_like(theta)
-
-    loss = _sse(theta, X, targets, d, h, act)
-    if not np.isfinite(loss):
-        raise AnnError("non-finite loss at iteration 0")
-    history = {"train_sse": [loss], "val_sse": None}
-    stopper = _start_early_stop(theta, targets, val_X, val_targets, d, h, cfg, history)
-
-    for it in range(1, cfg.max_iters + 1):
-        if loss <= cfg.goal_sse:
-            break
-        grad = gradient(theta, X, targets, d, h, act, lam)
-        velocity = cfg.momentum * velocity - cfg.lr * grad
-        theta = theta + velocity
-        loss = _sse(theta, X, targets, d, h, act)
-        if not np.isfinite(loss):
-            raise AnnError(f"non-finite loss at iteration {it}")
-        if loss > _DIVERGENCE_LOSS:
-            raise AnnError(
-                f"training diverged (loss {loss:.3e}) at learning rate {cfg.lr}"
-            )
-        history["train_sse"].append(loss)
-        if stopper is not None:
-            v = _sse(theta, val_X, val_targets, d, h, act)
-            history["val_sse"].append(v)
-            if stopper.update(v, theta):
-                break
-
-    return _finish(theta, d, h, cfg, history, stopper)
+    """Full-batch gradient descent with momentum; early stopping and the
+    history entries are _train's."""
+    return _train(_gdm_steps, X, targets, cfg, val_X, val_targets)
 
 
 def train_ann(X, targets, cfg: TrainConfig = TrainConfig(),

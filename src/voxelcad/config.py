@@ -44,8 +44,8 @@ _TYPE_CHECKS = {
 @dataclass(frozen=True)
 class RunConfig:
     # synthetic cohort
-    n_ad: int = 210
-    n_hc: int = 90
+    n_ad: int = SynthConfig.n_ad
+    n_hc: int = SynthConfig.n_hc
     dims: tuple[int, int, int] = DEFAULT_DIMS
     separation: float = DEFAULT_SEPARATION
     noise_sigma: float = DEFAULT_NOISE_SIGMA
@@ -58,19 +58,19 @@ class RunConfig:
     pca_prescale: bool = False
     # svm
     kernel: str = "gaussian"
-    kernel_scale: float = 2.8
+    kernel_scale: float = KernelSpec.scale
     C: float = 1.0
     svm_tol: float = 1e-3
     # ann
-    hidden: int = 100
+    hidden: int = TrainConfig.hidden
     activation: str = "tansig"
     trainer: str = "lm"
-    max_iters: int = 1000
-    lambda_: float = 0.0
-    lr: float = 0.01
-    momentum: float = 0.9
-    goal_sse: float = 1e-6
-    patience: int = 6
+    max_iters: int = TrainConfig.max_iters
+    lambda_: float = TrainConfig.lambda_
+    lr: float = TrainConfig.lr
+    momentum: float = TrainConfig.momentum
+    goal_sse: float = TrainConfig.goal_sse
+    patience: int = TrainConfig.patience
     # cross-validation
     folds: int = 5
     val_fraction: float = 0.10

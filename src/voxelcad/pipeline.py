@@ -13,17 +13,21 @@ map, so the bundle stores only its composition, x -> x W + b with W of
 shape m x k for the PCA pipelines and a per-feature scale w (x * w + b)
 for VAF-SVM, and prediction applies it in a single step.
 
-A fit makes one working copy as large as its training rows. The first
-stage (the prescale z-score, the PCA centring, or the VAF-SVM z-score)
+Without pca_prescale a fit makes one working copy as large as its
+training rows. The first stage (the PCA centring or the VAF-SVM z-score)
 gathers the rows, all of X or the indices a cross-validation fold passes
 as rows, and centres and scales that copy in place; later stages see only
-the n x k PCA scores. PCA writes its components over the copy's leading
-rows, and the PCA bundles' W is the kept columns of that view (F order),
-scaled in place. When VAF-SVM keeps every row as a support vector, its
-model holds the z-scored copy itself. No stage writes into the caller's X.
-predict_matrix takes the same rows argument, so scoring a fold's test rows
-gathers them once. PCA-ANN's validation rows are indices into the same X
-too: once W and b are composed, they go through the same map as test rows.
+the n x k PCA scores. With pca_prescale the prescale z-score makes that
+copy and fit_pca centres it into a second one (X - means in pca.center),
+so the fit holds two: a traced peak of 2.16x the training-row bytes
+against 1.11x without (PCA-SVM, a 40-row fold 20,000 wide). PCA writes
+its components over the centred copy's leading rows, and the PCA bundles'
+W is the kept columns of that view (F order), scaled in place. When
+VAF-SVM keeps every row as a support vector, its model holds the z-scored
+copy itself. No stage writes into the caller's X. predict_matrix takes
+the same rows argument, so scoring a fold's test rows gathers them once.
+PCA-ANN's validation rows are indices into the same X too: once W and b
+are composed, they go through the same map as test rows.
 """
 
 from __future__ import annotations
@@ -204,12 +208,13 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     per row. rows, integer indices into X and labels, restricts the fit to
     those rows (a cross-validation fold); None fits every row. The first
     front-end stage (the pca_prescale z-score, the PCA centring, or the
-    VAF-SVM z-score) gathers the rows and centres them in place, so that
-    copy is the fit's only working array as large as the training rows,
-    and X itself is never written. val_rows, integer indices into the same
-    X and labels, are the validation rows: they drive ANN early stopping
-    only, through the composed front end like test rows; SVM training
-    ignores them.
+    VAF-SVM z-score) gathers the rows and centres them in place, and X
+    itself is never written. Without pca_prescale that copy is the fit's
+    only working array as large as the training rows; with it, fit_pca
+    centres the z-scored copy into a second one. val_rows, integer indices
+    into the same X and labels, are the validation rows: they drive ANN
+    early stopping only, through the composed front end like test rows;
+    SVM training ignores them.
     """
     pid = canonical_pipeline(pipeline)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))

@@ -118,7 +118,8 @@ class SvmModel:
     def from_dict(cls, d: dict, path: str = "model") -> "SvmModel":
         """Inverse of to_dict; path locates d in the bundle, for error messages."""
         kind = KernelKind(d["kernel"])
-        scale = 2.8 if d["scale"] is None else number_field(d["scale"], f"{path}.scale")
+        scale = (KernelSpec.scale if d["scale"] is None
+                 else number_field(d["scale"], f"{path}.scale"))
         return cls(
             support_vectors=array_field(d["support_vectors"], f"{path}.support_vectors", (2,)),
             alphas=array_field(d["alphas"], f"{path}.alphas", (1,)),

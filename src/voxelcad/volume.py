@@ -89,11 +89,6 @@ class Volume:
         nx, ny, nz = self.dims
         return nx * ny * nz
 
-    def as_array(self) -> np.ndarray:
-        """Voxels as an (nx, ny, nz) array, arr[x, y, z] indexing."""
-        nx, ny, nz = self.dims
-        return self.voxels.reshape(nz, ny, nx).transpose(2, 1, 0)
-
 
 def flatten(v: Volume) -> np.ndarray:
     """Flatten a volume to a float64 vector in x-fastest (file) order."""

@@ -151,9 +151,15 @@ def box_slices(dims, block_grid):
     return [(sx, sy, sz) for sz in zs for sy in ys for sx in xs]
 
 
+def as_array(v) -> np.ndarray:
+    """A volume's voxels as an (nx, ny, nz) array, arr[x, y, z] indexing."""
+    nx, ny, nz = v.dims
+    return v.voxels.reshape(nz, ny, nx).transpose(2, 1, 0)
+
+
 def block_features(v, block_grid, bins: int) -> np.ndarray:
     """grayscale_features of each box in turn, concatenated x-fastest."""
-    arr = v.as_array()
+    arr = as_array(v)
     return np.concatenate([grayscale_features(arr[s], bins)
                            for s in box_slices(v.dims, block_grid)])
 

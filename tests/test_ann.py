@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import fd_gradient, fd_jacobian, forward
-from voxelcad.ann import (Activation, AnnError, AnnModel, TrainConfig,
+from voxelcad.ann import (MU0, Activation, AnnError, AnnModel, TrainConfig,
                           Trainer, _init_params, _j_v, _jt_v, _forward_parts,
-                          _unpack, forward_batch, gradient, jacobian,
+                          _lm_step, _unpack, forward_batch, gradient, jacobian,
                           train_ann, train_gdm, train_lm)
 from voxelcad.labels import from_sign
 
@@ -60,7 +60,7 @@ def test_train_config_validation():
     ok = dict(hidden=2, max_iters=10)
     TrainConfig(**ok)
     for bad in (dict(hidden=0), dict(max_iters=0), dict(momentum=1.0),
-                dict(momentum=-0.1), dict(mu0=0.0), dict(lambda_=-1.0),
+                dict(momentum=-0.1), dict(lambda_=-1.0),
                 dict(patience=0)):
         with pytest.raises(ValueError):
             TrainConfig(**{**ok, **bad})
@@ -119,6 +119,22 @@ def test_matrix_free_products_match_explicit_jacobian(rng):
     assert np.allclose(_j_v(w, X, A, D, d, h), J @ w, atol=1e-10)
 
 
+@pytest.mark.parametrize("n, d, h", [(40, 2, 3), (6, 3, 4)])  # p < n, p > n
+def test_lm_step_solves_the_damped_normal_equations(rng, n, d, h):
+    X = rng.normal(size=(n, d))
+    targets = rng.normal(size=n)
+    theta = _init_params(d, h, seed=11)
+    for activation in (Activation.TANSIG, Activation.RELU):
+        J = jacobian(theta, X, d, h, activation)
+        y, _, _ = _forward_parts(theta, X, d, h, activation)
+        for lam in (0.0, 0.1):
+            for mu in (1e-3, 1.0):
+                H = J.T @ J + (mu + lam) * np.eye(theta.size)
+                want = np.linalg.solve(H, J.T @ (y - targets) + lam * theta)
+                got = _lm_step(theta, X, targets, d, h, activation, mu, lam)
+                assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
 def test_lm_accepted_sse_never_increases(rng):
     X = rng.normal(size=(12, 2))
     targets = np.sin(X[:, 0]) - 0.3 * X[:, 1]
@@ -126,7 +142,7 @@ def test_lm_accepted_sse_never_increases(rng):
     model = train_lm(X, targets, cfg)
     sse = model.history["train_sse"]
     assert all(b <= a for a, b in zip(sse, sse[1:]))
-    assert model.history["mu"][0] == cfg.mu0
+    assert model.history["mu"][0] == MU0
     assert len(model.history["mu"]) == len(sse)
 
 
@@ -269,6 +285,9 @@ def test_input_validation():
     with pytest.raises(ValueError, match="mismatch"):
         train_lm(LINE_X, LINE_T, cfg, val_X=np.zeros((2, 3)),
                  val_targets=np.zeros(2))
+    with pytest.raises(ValueError, match="validation set must be finite"):
+        train_gdm(LINE_X, LINE_T, cfg, val_X=LINE_X,
+                  val_targets=np.full(5, np.nan))
 
 
 def test_json_round_trip(rng):

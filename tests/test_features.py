@@ -129,7 +129,7 @@ def test_block_features_match_the_per_box_oracle(case, rng):
     assert np.array_equal(got[:, 4], want[:, 4])            # energy bit-equal
     assert np.allclose(got, want, rtol=0, atol=1e-12)
     # the histograms themselves, box by box, against np.histogram
-    arr = v.as_array()
+    arr = oracles.as_array(v)
     boxes = [arr[s].ravel(order="F").astype(np.float64)
              for s in oracles.box_slices(v.dims, grid)]
     x = np.concatenate(boxes)
@@ -194,7 +194,7 @@ def test_blocks_partition_all_voxels(rng):
     v = Volume(dims=(7, 6, 5), voxels=rng.random(210))
     grid = (3, 2, 2)
     feats = block_features(v, grid, bins=4).reshape(-1, 6)
-    arr = v.as_array()
+    arr = oracles.as_array(v)
     sizes = []
     for z0, z1 in [(0, 2), (2, 5)]:
         for y0, y1 in [(0, 3), (3, 6)]:

