@@ -121,12 +121,14 @@ class AnnModel:
     def n_inputs(self) -> int:
         return self.w1.shape[1]
 
-    def to_dict(self) -> dict:
+    def to_dict(self, arrays: bool = False) -> dict:
+        """JSON-ready fields; arrays=True leaves the numpy arrays as they are."""
+        plain = (lambda a: a) if arrays else np.ndarray.tolist
         return {
             "activation": self.activation.value,
-            "w1": self.w1.tolist(),
-            "b1": self.b1.tolist(),
-            "w2": self.w2.tolist(),
+            "w1": plain(self.w1),
+            "b1": plain(self.b1),
+            "w2": plain(self.w2),
             "b2": self.b2,
         }
 

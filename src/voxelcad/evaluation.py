@@ -9,13 +9,17 @@ slice only drives ANN early stopping; SVM training ignores it.
 Every fold refits standardization, PCA, and the classifier on its own
 training rows, so no test information leaks into fitted parameters.
 cross_validate hands fit_pipeline the whole feature matrix and the fold's
-training and validation row indices, so the fit's own gather is the only
-copy of the training rows; PCA-ANN gathers its validation rows once, into
-the composed front end. predict_matrix takes the test rows' indices the
-same way and gathers them once. Each PCA-ANN fold reports the
-early-stopping epoch whose weights it kept (0 is the mean-target network,
-which predicts the training majority), and the notes count those
-fallbacks.
+training and validation row indices, and predict_matrix the test rows'
+indices. For the PCA pipelines it also builds one raw Gram X X^T per
+feature matrix (pca.raw_gram, without pca_prescale) and passes it to both:
+every fold's PCA fit, and its validation and test scores, are read from
+that n x n matrix, so no fold gathers, centres or multiplies the m-wide
+rows. Its entry (i, j) depends on rows i and j only, so the fits stay
+independent of the test rows. Each PCA fold reports the components it
+kept and the share of the training variance they explain; each PCA-ANN
+fold reports the early-stopping epoch whose weights it kept (0 is the
+mean-target network, which predicts the training majority), and the notes
+count those fallbacks.
 
 A report's mean metrics are micro-averages: they are recomputed from the
 summed confusion counts, which makes "mean equals aggregate" an identity
@@ -37,6 +41,7 @@ import numpy as np
 from .config import RunConfig
 from .features import FeatureKind, build_feature_matrix
 from .labels import VALID_LABELS, AD, HC
+from .pca import raw_gram
 from .pipeline import (PIPELINES, canonical_pipeline, fit_pipeline,
                        pipeline_feature_kind, predict_matrix)
 
@@ -179,6 +184,10 @@ class FoldResult:
     # ANN only: the validation epoch whose weights early stopping kept, 0
     # being the mean-target network; None when no early stopping ran
     early_stop_epoch: int | None = None
+    # PCA pipelines only: components kept and the cumulative share of the
+    # training variance they explain; None for VAF-SVM
+    pca_retained: int | None = None
+    pca_cumulative_variance: float | None = None
 
 
 @dataclass(frozen=True)
@@ -209,6 +218,8 @@ class EvalReport:
                     "specificity": fr.scores.specificity,
                     "n_train": fr.n_train, "n_val": fr.n_val, "n_test": fr.n_test,
                     "early_stop_epoch": fr.early_stop_epoch,
+                    "pca_retained": fr.pca_retained,
+                    "pca_cumulative_variance": fr.pca_cumulative_variance,
                     "train_time_s": fr.train_time_s,
                 }
                 for fr in self.fold_results
@@ -287,10 +298,18 @@ def cross_validate(manifest_path, pipelines, cfg: RunConfig) -> list[EvalReport]
     lab = np.asarray(first.labels, dtype=object)
     splits = stratified_split(first.labels, cfg.folds, cfg.val_fraction, cfg.seed)
 
+    # one raw Gram per feature matrix that a PCA pipeline reads
+    grams = {}
+    for pid in ids:
+        kind = pipeline_feature_kind(pid, cfg)
+        if pid != "VAF-SVM" and not cfg.pca_prescale and kind not in grams:
+            grams[kind] = raw_gram(matrices[kind].values)
+
     reports = []
     for pid in ids:
-        fm = matrices[pipeline_feature_kind(pid, cfg)]
-        X = fm.values
+        kind = pipeline_feature_kind(pid, cfg)
+        X = matrices[kind].values
+        gram = grams.get(kind) if pid != "VAF-SVM" else None
         fold_results: list[FoldResult] = []
         agg = ConfusionMatrix(0, 0, 0, 0)
         train_total = 0.0
@@ -304,12 +323,15 @@ def cross_validate(manifest_path, pipelines, cfg: RunConfig) -> list[EvalReport]
                     ann_seed=_fold_seed(cfg.seed, pid, i),
                     rows=sp.train,
                     val_rows=sp.val if sp.val.size else None,
+                    gram=gram,
                 )
                 t_train = time.perf_counter() - t0
                 history = getattr(model.classifier, "history", None) or {}
                 stop_epoch = history.get("early_stop_epoch")
+                pca_retained = model.pca_retained
+                pca_variance = model.pca_cumulative_variance
                 t0 = time.perf_counter()
-                predicted, _ = predict_matrix(model, X, rows=sp.test)
+                predicted, _ = predict_matrix(model, X, rows=sp.test, gram=gram)
                 pred_time += time.perf_counter() - t0
                 # drop the fold's model now; on VAF features its m-wide
                 # arrays would otherwise stay live through the next fit
@@ -325,6 +347,7 @@ def cross_validate(manifest_path, pipelines, cfg: RunConfig) -> list[EvalReport]
                 n_train=int(sp.train.size), n_val=int(sp.val.size),
                 n_test=int(sp.test.size), train_time_s=t_train,
                 early_stop_epoch=stop_epoch,
+                pca_retained=pca_retained, pca_cumulative_variance=pca_variance,
             ))
         reports.append(EvalReport(
             pipeline=pid,

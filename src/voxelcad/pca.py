@@ -6,72 +6,76 @@ Conventions:
     projected training column equals eigenvalue i;
   * the symmetric eigensolver is LAPACK's, through numpy.linalg.eigh;
     eigenvalues are re-sorted non-increasing with a stable sort;
-  * eigenvector signs are fixed by making each vector's largest-magnitude
-    entry positive (first such entry on ties), so fitted models, and the
-    bundles composed from them, are deterministic;
+  * one sign rule on both routes: each component's sign makes its
+    largest-magnitude training score positive (first such row on ties), so
+    fitted models, and the bundles composed from them, are deterministic;
   * contribution rates divide each eigenvalue by the sum over the whole
     computed spectrum.
 
 fit_pca takes the direct m x m covariance route when m <= n and otherwise
-the Gram route: eigendecompose G = Xc Xc^T/(n-1) (n x n) and map eigenvectors
-back through Xc^T u / ||Xc^T u||. The Gram route yields the nonzero
-spectrum exactly; the omitted trailing eigenvalues are zero, so the model
-stores components as an m x r matrix with r <= min(n, m) columns rather
-than a literal m x m basis (infeasible for voxel-level feature spaces).
-On that route the map-back runs one column block of Xc at a time and
-writes each block's r x b product over the first r rows of those columns,
-so the components live in the centred copy's own buffer: they are the F
-order view Xc[:r].T, one contiguous column each, and the fit allocates no
-second array as large as its training rows.
+the Gram route in n x n space (kernel PCA with a linear kernel; Schoelkopf,
+Smola & Mueller 1998). That route starts from the raw Gram G = X X^T of
+the training rows, with no mean subtracted, so entry (i, j) depends on rows
+i and j only: one Gram of a whole cohort serves every cross-validation
+fold, and no fold's fit depends on its test rows. Double centring turns G
+into Xc Xc^T. By the snapshot identity (Sirovich 1987) the training scores
+are U sqrt((n-1) lambda), so the sign rule is eigen_symmetric's own fix on
+U. Any other row scores (g - mean(g)) coef + origin from its raw Gram row g
+over the training rows, with coef = U / sqrt((n-1) lambda) and origin the
+scores of the zero row. Only the r <= n-1 components of the nonzero
+spectrum are kept. The m-wide means and components are formed when first
+read, by map_back one column block at a time (X_b^T coef - mean_b 1^T coef,
+no centred copy); until then the model refers to X, which must not be
+written meanwhile.
 
-The zero-variance check compares the total variance sum(Xc*Xc)/(n-1)
-with a round-off floor; that sum is the trace of G (or of the covariance
-on the direct route), so it is read off the matrix already built. The
-model also carries the training rows' scores. On the Gram route they come
-from the Gram eigenvectors without another pass over X: by the snapshot
-identity (Sirovich 1987), Xc v_i = sqrt((n-1) lambda_i) u_i, with v_i the
-i-th component and u_i the matching unit eigenvector of G.
+The zero-variance check compares the total centred variance with a
+round-off floor; on the Gram route the floor scales with the raw diagonal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 _EIG_NEG_TOL = 1e-9     # tolerated negative round-off, relative to max |eigenvalue|
 _THRESHOLD_SLACK = 1e-12  # select_components cumulative-sum slack
-_MAP_BACK_COLS = 1024   # column block of the Gram-route map-back
+_BLOCK_COLS = 1024      # column block of raw_gram and map_back
 
 
-@dataclass(frozen=True)
 class PcaModel:
     """Fitted PCA basis.
 
     components holds the first r eigenvectors as columns (m x r, F order);
     r equals m on the direct route and the retained nonzero-spectrum size
-    on the Gram route, where components is a view into the rows of the
-    centred training copy. eigenvalues/contribution have length r,
-    non-increasing.
-    scores, when set by fit_pca, holds project(model, X_train) for the
-    rows the model was fit on (n x retained).
+    on the Gram route. eigenvalues/contribution have length r,
+    non-increasing. scores, when set by fit_pca, holds project(model,
+    X_train) for the rows the model was fit on (n x retained).
+
+    A Gram-route fit passes basis=(X, rows, scale) and coef (n x r) in
+    place of means and components, which map_back then forms on first
+    read; origin is project(model, 0), the scores of the zero row.
     """
 
-    means: np.ndarray
-    eigenvalues: np.ndarray
-    components: np.ndarray
-    retained: int
-    contribution: np.ndarray
-    scores: np.ndarray | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "means", np.asarray(self.means, dtype=np.float64))
-        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=np.float64))
-        object.__setattr__(self, "components", np.asarray(self.components, dtype=np.float64))
-        object.__setattr__(self, "contribution", np.asarray(self.contribution, dtype=np.float64))
-        m, r = self.components.shape
-        if self.means.shape != (m,):
-            raise ValueError("means length must match component rows")
+    def __init__(self, eigenvalues, retained: int, contribution, means=None,
+                 components=None, scores=None, coef=None, origin=None, basis=None):
+        self.eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
+        self.contribution = np.asarray(contribution, dtype=np.float64)
+        self.retained = retained
+        self.scores = scores
+        self.coef = coef
+        self._basis = basis
+        if basis is None:
+            self.means = np.asarray(means, dtype=np.float64)
+            self.components = np.asarray(components, dtype=np.float64)
+            m, r = self.components.shape
+            if self.means.shape != (m,):
+                raise ValueError("means length must match component rows")
+        else:
+            r = coef.shape[1]
+        self.n_features = basis[0].shape[1] if basis is not None else m
+        self.origin = (-(self.means @ self.components) if origin is None
+                       else np.asarray(origin, dtype=np.float64))
         if self.eigenvalues.shape != (r,) or self.contribution.shape != (r,):
             raise ValueError("eigenvalues/contribution length must match component columns")
         if not 1 <= self.retained <= r:
@@ -79,9 +83,67 @@ class PcaModel:
         if np.any(np.diff(self.eigenvalues) > 0):
             raise ValueError("eigenvalues must be non-increasing")
 
-    @property
-    def n_features(self) -> int:
-        return self.components.shape[0]
+    @cached_property
+    def components(self) -> np.ndarray:
+        X, rows, scale = self._basis
+        components, means = map_back(X, rows, self.coef, scale)
+        self.__dict__["means"] = means if scale is None else means * scale
+        return components
+
+    @cached_property
+    def means(self) -> np.ndarray:
+        self.components   # one map-back pass forms both
+        return self.__dict__["means"]
+
+
+def column_blocks(X: np.ndarray, rows: np.ndarray | None = None):
+    """Yield (a, b, block): columns [a, b) of X, or of the rows that the
+    integer indices rows select (then a gathered copy of that block only).
+    Blocks are _BLOCK_COLS wide and the last takes the remainder, so no
+    block is narrower: a narrow product could fall to another BLAS kernel,
+    which sums in another order."""
+    m = X.shape[1]
+    starts = list(range(0, max(m - _BLOCK_COLS, 0) + 1, _BLOCK_COLS))
+    for a, b in zip(starts, starts[1:] + [m]):
+        yield a, b, (X[:, a:b] if rows is None else np.take(X[:, a:b], rows, axis=0))
+
+
+def raw_gram(X: np.ndarray, rows: np.ndarray | None = None,
+             scale: np.ndarray | None = None) -> np.ndarray:
+    """Raw Gram X X^T of the rows of X, or of those that the integer indices
+    rows select, in that order; with scale, of X diag(scale). No mean is
+    subtracted, so entry (i, j) depends on rows i and j only. Built one
+    column block at a time: no copy of the rows is made beyond one block,
+    and the result is exactly symmetric."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0] if rows is None else len(rows)
+    G = np.zeros((n, n))
+    for a, b, Xb in column_blocks(X, rows):
+        if scale is not None:
+            Xb = Xb * scale[a:b]
+        G += Xb @ Xb.T
+    return np.triu(G) + np.triu(G, 1).T
+
+
+def map_back(X: np.ndarray, rows: np.ndarray | None, coef: np.ndarray,
+             scale: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(diag(scale) Xc^T coef as an m x k F-order array, the column means of
+    the rows), with Xc the rows of X that rows selects (all rows if None)
+    centred by those means. Each column block's k x b product
+    coef^T X_b - (1^T coef) mean_b is written into a k x m C-order buffer
+    whose transpose is returned, so no centred copy of the rows is made."""
+    m = X.shape[1]
+    out = np.empty((coef.shape[1], m))
+    means = np.empty(m)
+    coef_t, total = coef.T, coef.sum(axis=0)
+    for a, b, Xb in column_blocks(X, rows):
+        means[a:b] = Xb.mean(axis=0)
+        part = out[:, a:b]
+        np.matmul(coef_t, Xb, out=part)
+        part -= np.outer(total, means[a:b])
+        if scale is not None:
+            part *= scale[a:b]
+    return out.T, means
 
 
 def center(X: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -177,77 +239,80 @@ def select_components(rates, cum_threshold: float) -> int:
 
 
 def fit_pca(X, cum_threshold: float = 0.95, method: str = "auto",
-            rows: np.ndarray | None = None) -> PcaModel:
+            rows: np.ndarray | None = None, scale: np.ndarray | None = None,
+            gram: np.ndarray | None = None) -> PcaModel:
     """Fit a PCA model on the rows of X (ndarray or FeatureMatrix), or on
-    the rows that the integer indices rows select (see center).
+    the rows that the integer indices rows select; with scale, on those rows
+    times diag(scale).
 
     method: "direct" eigendecomposes the m x m covariance, "gram" the n x n
-    Gram matrix (exact for the nonzero spectrum), "auto" picks gram when
-    m > n.
+    centred Gram matrix (exact for the nonzero spectrum), "auto" picks gram
+    when m > n. gram, if given, is raw_gram(X, rows, scale), which the Gram
+    route then reads instead of building it.
     """
     X = np.asarray(getattr(X, "values", X), dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
     if method not in ("auto", "direct", "gram"):
         raise ValueError(f"unknown method {method!r}")
-    Xc, means = center(X, rows)
-    n, m = Xc.shape
+    n = X.shape[0] if rows is None else len(rows)
+    m = X.shape[1]
     if n < 2:
         raise ValueError("fit_pca needs n >= 2 samples")
-    use_gram = m > n if method == "auto" else method == "gram"
-    if use_gram:
-        P = Xc @ Xc.T / (n - 1)
-        P = np.triu(P) + np.triu(P, 1).T
-    else:
-        P = covariance(Xc)
+    if m > n if method == "auto" else method == "gram":
+        return _fit_gram(X, rows, scale, cum_threshold,
+                         raw_gram(X, rows, scale) if gram is None else gram)
+    Xc, means = center(X, rows)
+    if scale is not None:
+        Xc *= scale
+        means = means * scale
+    P = covariance(Xc)
     # identical rows leave round-off residue, not exact zeros; treat variance
-    # at that level as a zero spectrum instead of normalizing noise. The
-    # scale bounds max|X| without a pass over X: every |Xc_ij| is at most
-    # the norm of its row (Gram) or column (covariance), sqrt((n-1) P_ii).
-    scale = np.max(np.abs(means)) + np.sqrt((n - 1) * np.max(np.diag(P))) if m else 0.0
-    zero_floor = m * (16.0 * np.finfo(np.float64).eps * max(scale, 1e-300)) ** 2
-    if np.trace(P) <= zero_floor:
+    # at that level as a zero spectrum instead of normalizing noise. bound
+    # bounds max|X| without a pass over X: every |Xc_ij| is at most the
+    # norm of its column, sqrt((n-1) P_jj).
+    bound = np.max(np.abs(means)) + np.sqrt((n - 1) * np.max(np.diag(P))) if m else 0.0
+    if np.trace(P) <= m * (16.0 * np.finfo(np.float64).eps * max(bound, 1e-300)) ** 2:
         raise ValueError("all-zero spectrum: data has no variance")
-    eigenvalues, vectors = eigen_symmetric(P)
-    if use_gram:
-        # rank cutoff: eigenpairs at round-off level cannot be mapped back stably
-        cutoff = max(n, m) * np.finfo(np.float64).eps * max(eigenvalues[0], 0.0)
-        keep = eigenvalues > cutoff
-        if not np.any(keep):
-            raise ValueError("all-zero spectrum: data has no variance")
-        eigenvalues = eigenvalues[keep]
-        U = vectors[:, keep]
-        norms = np.sqrt((n - 1) * eigenvalues)
-        # each block's product is written over rows [:r] of its own columns,
-        # which no later block reads. No block is narrower than
-        # _MAP_BACK_COLS (the last takes the remainder), so each product runs
-        # the gemm kernel of one product over every column and sums in the
-        # same order; a narrow block could fall to gemv or a small-matrix
-        # kernel, which sum in another
-        Vt = (U / norms).T
-        r = Vt.shape[0]
-        starts = list(range(0, max(m - _MAP_BACK_COLS, 0) + 1, _MAP_BACK_COLS))
-        for a, b in zip(starts, starts[1:] + [m]):
-            Xc[:r, a:b] = Vt @ Xc[:, a:b]
-        # F order: each component is a contiguous column for _fix_signs
-        components = Xc[:r].T
-        signs = _fix_signs(components)
-        # snapshot identity: Xc v_i = sqrt((n-1) lambda_i) u_i
-        scores = U * (norms * signs)
-    else:
-        # F order on both routes, so a PCA bundle's W has one layout
-        components = np.asfortranarray(vectors)
-        scores = Xc @ components
+    eigenvalues, components = eigen_symmetric(P)
+    # F order, so a PCA bundle's W has one layout on both routes
+    components = np.asfortranarray(components)
+    scores = Xc @ components
+    components *= _fix_signs(scores)
     rates = contribution_rates(eigenvalues)
     retained = select_components(rates, cum_threshold)
-    return PcaModel(
-        means=means,
-        eigenvalues=np.maximum(eigenvalues, 0.0),
-        components=components,
-        retained=retained,
-        contribution=rates,
-        scores=scores[:, :retained],
-    )
+    return PcaModel(eigenvalues=np.maximum(eigenvalues, 0.0), retained=retained,
+                    contribution=rates, means=means, components=components,
+                    scores=scores[:, :retained])
+
+
+def _fit_gram(X, rows, scale, cum_threshold, G) -> PcaModel:
+    """The Gram route of fit_pca, from the raw Gram G of the fitted rows."""
+    n, m = G.shape[0], X.shape[1]
+    r = G.mean(axis=0)
+    Gc = G - r
+    Gc -= r[:, None]
+    Gc += r.mean()
+    # the centring cancels the raw entries down to the centred ones, and
+    # leaves round-off of the raw diagonal's size behind: total variance at
+    # that level is a zero spectrum
+    if np.trace(Gc) <= 16.0 * max(n, m) * np.finfo(np.float64).eps * np.trace(G):
+        raise ValueError("all-zero spectrum: data has no variance")
+    P = Gc / (n - 1)
+    eigenvalues, U = eigen_symmetric(np.triu(P) + np.triu(P, 1).T)
+    # rank cutoff: eigenpairs at round-off level cannot be mapped back stably
+    keep = eigenvalues > max(n, m) * np.finfo(np.float64).eps * max(eigenvalues[0], 0.0)
+    if not np.any(keep):
+        raise ValueError("all-zero spectrum: data has no variance")
+    eigenvalues = eigenvalues[keep]
+    U = U[:, keep]
+    norms = np.sqrt((n - 1) * eigenvalues)
+    coef = U / norms
+    rates = contribution_rates(eigenvalues)
+    retained = select_components(rates, cum_threshold)
+    return PcaModel(eigenvalues=eigenvalues, retained=retained, contribution=rates,
+                    scores=U[:, :retained] * norms[:retained], coef=coef,
+                    origin=(r.mean() - r) @ coef, basis=(X, rows, scale))
 
 
 def project(model: PcaModel, X: np.ndarray, n_components: int | None = None) -> np.ndarray:

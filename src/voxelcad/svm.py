@@ -103,15 +103,17 @@ class SvmModel:
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "labels", y)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, arrays: bool = False) -> dict:
+        """JSON-ready fields; arrays=True leaves the numpy arrays as they are."""
+        plain = (lambda a: a) if arrays else np.ndarray.tolist
         return {
             "kernel": self.kernel.kind.value,
             "scale": self.kernel.scale if self.kernel.kind is KernelKind.GAUSSIAN else None,
             "C": self.C,
             "bias": self.bias,
-            "support_vectors": self.support_vectors.tolist(),
-            "alphas": self.alphas.tolist(),
-            "labels": self.labels.tolist(),
+            "support_vectors": plain(self.support_vectors),
+            "alphas": plain(self.alphas),
+            "labels": plain(self.labels),
         }
 
     @classmethod

@@ -67,10 +67,11 @@ def eigenvalues_bisect(P: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 # --- PCA map-back as one product --------------------------------------------
 
-def map_back(Xc: np.ndarray, U: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Gram-route components Xc^T u_i / ||Xc^T u_i|| (m x r), from a single
-    product over every column of the centred rows Xc."""
-    return ((U / norms).T @ Xc).T
+def map_back(X: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Gram-route components Xc^T coef (m x r) of the rows of X, from a
+    single product over every column, X^T coef - mean (1^T coef), with no
+    centred copy of X."""
+    return (coef.T @ X - np.outer(coef.sum(axis=0), X.mean(axis=0))).T
 
 
 # --- single-sample kernel, SVM decision and network output -------------------

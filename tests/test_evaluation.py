@@ -177,6 +177,23 @@ def test_cross_validate_report_shapes(small_reports, small_runconfig):
         assert "timing" in d  # the original is untouched
 
 
+def test_pca_folds_report_what_the_pca_kept(small_reports, small_runconfig):
+    kept = {}
+    for report in small_reports:
+        # deterministic fields: strip_timing keeps them
+        folds = strip_timing(report.to_dict())["folds"]
+        kept[report.pipeline] = [(f["pca_retained"], f["pca_cumulative_variance"])
+                                 for f in folds]
+        for retained, share in kept[report.pipeline]:
+            if report.pipeline == "VAF-SVM":
+                assert retained is None and share is None
+            else:
+                assert isinstance(retained, int) and retained >= 1
+                assert small_runconfig.pca_threshold - 1e-12 <= share <= 1.0 + 1e-12
+    # both PCA pipelines fit the same PCA on the same fold
+    assert kept["PCA-SVM"] == kept["PCA-ANN"]
+
+
 def test_cross_validate_is_deterministic(small_dataset, small_runconfig,
                                          small_reports):
     manifest, _ = small_dataset

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import eigenvalues_bisect, map_back
-from voxelcad.pca import (_MAP_BACK_COLS, PcaModel, center, contribution_rates,
+from voxelcad.pca import (_BLOCK_COLS, PcaModel, _fix_signs, center, contribution_rates,
                           covariance, eigen_symmetric, fit_pca, project,
                           select_components)
 
@@ -165,7 +165,8 @@ def test_project_hand_example():
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
     model = fit_pca(X, cum_threshold=0.95)
     Y = project(model, X, n_components=1)
-    assert np.allclose(Y, [[-SQ2], [SQ2]], atol=1e-12)
+    # the two scores tie in magnitude, so the first row's is the positive one
+    assert np.allclose(Y, [[SQ2], [-SQ2]], atol=1e-12)
     assert np.allclose(project(model, model.means), [0.0], atol=1e-15)
 
 
@@ -224,46 +225,53 @@ def _peaks_are_positive(V):
 
 
 def test_gram_route_sign_convention_on_wide_input(rng):
+    # each component's largest-magnitude training score is positive, on the
+    # Gram route and on the direct route of the same rows
     for _ in range(5):
         X = rng.normal(size=(8, 500)) * rng.uniform(0.1, 3.0, size=500)
         model = fit_pca(X, cum_threshold=1.0)
         assert model.components.shape == (500, 7)
-        assert _peaks_are_positive(model.components)
+        assert model.retained == 7 and _peaks_are_positive(model.scores)
+        direct = fit_pca(X[:, :6], cum_threshold=1.0, method="direct")
+        gram = fit_pca(X[:, :6], cum_threshold=1.0, method="gram")
+        assert _peaks_are_positive(direct.scores) and _peaks_are_positive(gram.scores)
+        assert np.max(np.abs(direct.scores - gram.scores)) <= 1e-9 * np.max(np.abs(direct.scores))
 
 
-def test_gram_route_sign_convention_breaks_ties_by_first_entry(rng):
-    # feature 1 is the exact negative of feature 0 and both dominate, so
-    # the leading component's two largest entries tie in magnitude
-    X = 0.1 * rng.normal(size=(6, 400))
-    X[:, 0] = 10.0 * rng.normal(size=6)
-    X[:, 1] = -X[:, 0]
-    model = fit_pca(X, cum_threshold=1.0)
-    v = model.components[:, 0]
-    assert v[1] == -v[0]
-    assert np.argmax(np.abs(v)) == 0
-    assert v[0] > 0.0
-    assert _peaks_are_positive(model.components)
+def test_sign_convention_breaks_ties_by_first_row(rng):
+    # rows come in exact +/- pairs, so the mean is exactly zero and every
+    # score of row 1 is the exact negative of row 0's; rows 0 and 1 dominate,
+    # so the leading component's two largest scores tie in magnitude
+    half = 0.1 * rng.normal(size=(3, 5))
+    half[0] = 10.0 * rng.normal(size=5)
+    X = np.repeat(half, 2, axis=0)
+    X[1::2] *= -1.0
+    model = fit_pca(X, cum_threshold=1.0, method="direct")
+    s = model.scores[:, 0]
+    assert s[1] == -s[0] and np.argmax(np.abs(s)) == 0
+    assert s[0] > 0.0
+    assert _peaks_are_positive(model.scores)
+    V = np.array([[1.0, -2.0, 0.5], [-1.0, 2.0, -3.0], [0.5, 1.0, 3.0]])
+    assert np.array_equal(_fix_signs(V), [1.0, -1.0, -1.0])
+    assert np.array_equal(V[:, 1], [2.0, -2.0, -1.0]) and np.array_equal(V[:, 2], [-0.5, 3.0, -3.0])
 
 
-@pytest.mark.parametrize("m", [_MAP_BACK_COLS - 1, _MAP_BACK_COLS, _MAP_BACK_COLS + 1,
-                               3 * _MAP_BACK_COLS + 7])
+@pytest.mark.parametrize("m", [_BLOCK_COLS - 1, _BLOCK_COLS, _BLOCK_COLS + 1,
+                               3 * _BLOCK_COLS + 7])
 def test_blocked_map_back_equals_one_product(m, rng):
     # widths around the column block; with 40 rows every block's product
     # is a full gemm, as on a cross-validation fold of voxel rows
     n = 40
-    X = rng.normal(size=(n, m)) * rng.uniform(0.1, 3.0, size=m)
+    X = rng.normal(size=(n, m)) * rng.uniform(0.1, 3.0, size=m) + 2.0
     model = fit_pca(X, cum_threshold=1.0, method="gram")
     V = model.components
     r = V.shape[1]
-    assert r == n - 1   # the map-back overwrites every centred row but one
-    Xc, _ = center(X)
-    G = Xc @ Xc.T / (n - 1)
-    _, U = eigen_symmetric(np.triu(G) + np.triu(G, 1).T)
-    want = map_back(Xc, U[:, :r], np.sqrt((n - 1) * model.eigenvalues))
-    # bit for bit, up to the sign fix of each column
-    assert np.all((V == want).all(axis=0) | (V == -want).all(axis=0))
+    assert r == n - 1   # every nonzero direction of the centred rows
+    # bit for bit: X^T coef - mean (1^T coef) as one product over every column
+    assert np.array_equal(V, map_back(X, model.coef))
+    assert np.array_equal(model.means, X.mean(axis=0))
     assert V.flags.f_contiguous
-    assert _peaks_are_positive(V)
+    assert _peaks_are_positive(model.scores)
     assert np.max(np.abs(V.T @ V - np.eye(r))) <= 1e-10
 
 

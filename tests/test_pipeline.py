@@ -1,16 +1,19 @@
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import map_back
 from voxelcad.ann import AnnModel, forward_batch
-from voxelcad.evaluation import stratified_split
+from voxelcad.evaluation import _fold_seed, stratified_split
 from voxelcad.features import FeatureKind
 from voxelcad.labels import from_sign, to_sign
 from voxelcad.manifest import read_manifest
-from voxelcad.pca import fit_pca, project
+from voxelcad.pca import (_fix_signs, center, contribution_rates, fit_pca, project,
+                          raw_gram, select_components)
 from voxelcad.pipeline import (PIPELINES, PipelineModel,
                                canonical_pipeline, fit_pipeline,
                                pipeline_feature_kind, predict_matrix,
@@ -187,6 +190,74 @@ def test_composed_front_end_matches_the_staged_one(pid, prescale, small_grayscal
         assert model.weight.shape == (fm.values.shape[1],)
 
 
+@pytest.mark.parametrize("pid", PIPELINES)
+@pytest.mark.parametrize("kind", ["grayscale", "vaf"])
+def test_save_streams_the_bytes_of_the_bundle_dict(pid, kind, tmp_path, small_grayscale,
+                                                   small_vaf, small_runconfig):
+    cfg = dataclasses.replace(small_runconfig, feature_kind=kind)
+    fm = small_vaf if pipeline_feature_kind(pid, cfg) is FeatureKind.VAF else small_grayscale
+    model = _fit(pid, fm, cfg, ann_seed=4)
+    path = tmp_path / "bundle.json"
+    model.save(path)
+    assert path.read_bytes() == json.dumps(model.to_dict()).encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", ["vaf", "grayscale"])
+def test_fold_front_ends_from_the_cohort_gram_match_a_staged_reference(
+        kind, small_grayscale, small_vaf, small_runconfig):
+    # the reference centres each fold's gathered training rows, eigendecomposes
+    # their centred Gram and maps the components back explicitly; the fit reads
+    # only the raw Gram of the whole cohort, for training, validation and test
+    # rows alike
+    cfg = dataclasses.replace(small_runconfig, feature_kind=kind)
+    fm = small_vaf if kind == "vaf" else small_grayscale
+    X, labels = fm.values, np.asarray(fm.labels, dtype=object)
+    G = raw_gram(X)
+    for sp in stratified_split(labels, cfg.folds, cfg.val_fraction, cfg.seed):
+        n = sp.train.size
+        Xc, means = center(X, sp.train)
+        lam, U = np.linalg.eigh(Xc @ Xc.T / (n - 1))
+        lam, U = lam[::-1][:n - 1], U[:, ::-1][:, :n - 1]
+        k = select_components(contribution_rates(lam), cfg.pca_threshold)
+        V = map_back(Xc, U[:, :k] / np.sqrt((n - 1) * lam[:k]))
+        train_scores = Xc @ V
+        V *= _fix_signs(train_scores)
+        pca = fit_pca(X, cfg.pca_threshold, rows=sp.train, gram=G[np.ix_(sp.train, sp.train)])
+        assert pca.retained == k
+        assert np.max(np.abs(pca.scores - train_scores)) <= 1e-9 * np.max(np.abs(train_scores))
+        model = fit_pipeline("PCA-SVM", X, labels, cfg, rows=sp.train, val_rows=sp.val,
+                             gram=G)
+        mu, sd = train_scores.mean(axis=0), train_scores.std(axis=0, ddof=1)
+        for rows in (sp.train, sp.val, sp.test):
+            want = ((X[rows] - means) @ V - mu) / sd
+            got = model.front.apply(rows, model.offset)
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        labels_gram, _ = predict_matrix(model, X, rows=sp.test, gram=G)
+        assert labels_gram == predict_matrix(model, X, rows=sp.test)[0]
+
+
+def _digest(model) -> str:
+    return hashlib.sha256(json.dumps(model.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("pid", ["PCA-SVM", "PCA-ANN"])
+def test_test_rows_do_not_reach_a_vaf_fold_model(pid, small_vaf, small_runconfig):
+    # as acceptance criterion 6 checks on grayscale features, at voxel width:
+    # the fit reads the cohort's raw Gram, whose test-row entries change
+    cfg = dataclasses.replace(small_runconfig, feature_kind="vaf")
+    X, labels = small_vaf.values, np.asarray(small_vaf.labels, dtype=object)
+    sp = stratified_split(labels, cfg.folds, cfg.val_fraction, cfg.seed)[0]
+    X_bad = X.copy()
+    X_bad[sp.test] = np.random.default_rng(606).normal(size=(sp.test.size, X.shape[1])) * 5.0 + 1.0
+    digests = []
+    for data in (X, X_bad):
+        model = fit_pipeline(pid, data, labels, cfg, ann_seed=_fold_seed(cfg.seed, pid, 0),
+                             rows=sp.train, val_rows=sp.val, gram=raw_gram(data))
+        assert model.front is not None
+        digests.append(_digest(model))
+    assert digests[0] == digests[1]
+
+
 def test_from_dict_rejects_unknown_classifier(small_grayscale, small_runconfig):
     d = _fit("PCA-SVM", small_grayscale, small_runconfig).to_dict()
     d["classifier"]["type"] = "TREE"
@@ -354,14 +425,18 @@ def test_vaf_svm_fold_fit_allocates_one_working_copy(rng, small_runconfig):
 
 @pytest.mark.parametrize("pid", ["PCA-SVM", "PCA-ANN"])
 def test_pca_fold_fit_allocates_one_working_copy(pid, rng, small_runconfig):
-    # the components are mapped back into the centred copy's own rows and
-    # W is a view of them, so the fold's rows are copied once; PCA-ANN's
-    # validation rows (5 here, like a fold's 8 beside 56 training rows) are
-    # gathered once, into the composed front end
-    cfg = dataclasses.replace(small_runconfig, pca_prescale=False)
+    # the fit reads the fold's rows through their raw Gram, built one
+    # column block at a time, and with pca_prescale the sigmas come from
+    # the same blocks, so no copy of the training rows is made: not even
+    # the one working copy of a fit that centres them (about 1.1x), let
+    # alone prescale's two (2.16x). W is mapped back only when it is read.
+    # PCA-ANN's validation rows (5 here, like a fold's 8 beside 56 training
+    # rows) are scored from the same Gram.
     val_rows = np.arange(45, 50) if pid == "PCA-ANN" else None
-    model, peak = _wide_fold_fit(pid, cfg, rng, val_rows)
-    assert model.weight.shape[0] == 20_000
-    if val_rows is not None:
-        assert model.classifier.history["val_sse"] is not None
-    assert peak <= 1.25, peak
+    for prescale in (False, True):
+        cfg = dataclasses.replace(small_runconfig, pca_prescale=prescale)
+        model, peak = _wide_fold_fit(pid, cfg, rng, val_rows)
+        assert model.weight.shape[0] == 20_000
+        if val_rows is not None:
+            assert model.classifier.history["val_sse"] is not None
+        assert peak <= 0.5, (prescale, peak)
