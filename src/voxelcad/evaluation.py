@@ -19,7 +19,10 @@ independent of the test rows. Each PCA fold reports the components it
 kept and the share of the training variance they explain; each PCA-ANN
 fold reports the early-stopping epoch whose weights it kept (0 is the
 mean-target network, which predicts the training majority), and the notes
-count those fallbacks.
+count those fallbacks. VAF-SVM fits and scores each fold in one blocked
+pass over X (pipeline.KernelFront); its notes count the folds whose
+training kernel is exactly the identity, where every test row scores at
+the bias.
 
 A report's mean metrics are micro-averages: they are recomputed from the
 summed confusion counts, which makes "mean equals aggregate" an identity
@@ -188,6 +191,9 @@ class FoldResult:
     # training variance they explain; None for VAF-SVM
     pca_retained: int | None = None
     pca_cumulative_variance: float | None = None
+    # VAF-SVM only: whether the training kernel was exactly the identity;
+    # the notes count such folds, and the fold report does not carry it
+    identity_kernel: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -272,6 +278,12 @@ def _pipeline_notes(pid: str, cfg: RunConfig, fold_results) -> tuple[str, ...]:
             )
     if pid == "VAF-SVM":
         notes.append("kernel and box-constraint preset reused from the PCA-SVM configuration")
+        identity = [fr.identity_kernel for fr in fold_results]
+        notes.append(
+            f"{identity.count(True)} of {len(identity)} folds fit a training kernel that "
+            "is exactly the identity, on which VAF-SVM scores every test row at its "
+            "bias and predicts the training majority"
+        )
     return tuple(notes)
 
 
@@ -330,6 +342,7 @@ def cross_validate(manifest_path, pipelines, cfg: RunConfig) -> list[EvalReport]
                 stop_epoch = history.get("early_stop_epoch")
                 pca_retained = model.pca_retained
                 pca_variance = model.pca_cumulative_variance
+                identity = model.identity_kernel
                 t0 = time.perf_counter()
                 predicted, _ = predict_matrix(model, X, rows=sp.test, gram=gram)
                 pred_time += time.perf_counter() - t0
@@ -348,6 +361,7 @@ def cross_validate(manifest_path, pipelines, cfg: RunConfig) -> list[EvalReport]
                 n_test=int(sp.test.size), train_time_s=t_train,
                 early_stop_epoch=stop_epoch,
                 pca_retained=pca_retained, pca_cumulative_variance=pca_variance,
+                identity_kernel=identity,
             ))
         reports.append(EvalReport(
             pipeline=pid,

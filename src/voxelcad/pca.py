@@ -105,7 +105,7 @@ def column_blocks(X: np.ndarray, rows: np.ndarray | None = None):
     m = X.shape[1]
     starts = list(range(0, max(m - _BLOCK_COLS, 0) + 1, _BLOCK_COLS))
     for a, b in zip(starts, starts[1:] + [m]):
-        yield a, b, (X[:, a:b] if rows is None else np.take(X[:, a:b], rows, axis=0))
+        yield a, b, (X[:, a:b] if rows is None else X[rows, a:b])
 
 
 def raw_gram(X: np.ndarray, rows: np.ndarray | None = None,

@@ -24,10 +24,20 @@ back from the training rows only when read, to write a bundle or to score
 rows the gram does not cover. On the direct route (m <= n) PCA centres a
 gathered copy of the training rows and W is formed at once.
 
-VAF-SVM's z-score gathers its training rows and scales that copy in place;
-its model may keep that copy as its support vectors. No stage writes into
-the caller's X. predict_matrix takes the same rows argument, so scoring a
-fold's test rows gathers them at most once.
+VAF-SVM makes no copy of its rows either (KernelFront). One pass over X,
+one pca.column_blocks block at a time, takes each block's means and sigmas
+from the training rows (standardize on the block), z-scores the gathered
+block in place, training rows first, and sums only small products: the
+training rows' Gram Z_t Z_t^T and the other rows' Z_r Z_t^T. Validation
+rows, which SVM training ignores, are not read. SMO's training kernel and
+the kernel rows of every other row come from those sums, so a fold's test
+rows are scored from their kernel rows, with no second pass. The bundle's
+scale and offset and the z-scored support vectors are formed from X only
+when read, to write a bundle or to score rows that the fit did not read.
+
+No stage writes into the caller's X, and a fit that refers to X needs it
+unchanged until its model is dropped. predict_matrix takes the same rows
+argument, so scoring rows that no fit covers gathers them at most once.
 """
 
 from __future__ import annotations
@@ -66,25 +76,43 @@ def pipeline_feature_kind(pipeline: str, cfg: RunConfig) -> FeatureKind:
     return cfg.feature_kind_enum()
 
 
-def standardize(X: np.ndarray, rows: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Z-score the columns of X, or of the rows that the integer indices
-    rows select: (scaled rows, means, sigmas), with sigma 1 for
-    zero-variance columns. The centred working copy from pca.center gives
-    both the sigmas and, scaled in place, the returned rows."""
-    Xs, means = center(np.atleast_2d(np.asarray(X, dtype=np.float64)), rows)
-    sigmas = np.ones_like(means)
-    n = Xs.shape[0]
-    if n > 1:
-        np.einsum("ij,ij->j", Xs, Xs, out=sigmas)
-        sigmas /= n - 1
-        np.sqrt(sigmas, out=sigmas)
-        sigmas[~(sigmas > 0.0)] = 1.0
+def standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z-score the columns of X: (scaled rows, means, sigmas), with sigma 1
+    for zero-variance columns. The centred copy from pca.center gives both
+    the sigmas and, scaled in place, the returned rows."""
+    Xs, means = center(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+    sigmas = _sigmas(Xs)
     Xs /= sigmas
     return Xs, means, sigmas
 
 
+def _sigmas(Xc: np.ndarray) -> np.ndarray:
+    """Column standard deviations (divisor n - 1) of the centred rows Xc,
+    with 1 for zero-variance columns and for a single row."""
+    sigmas = np.ones(Xc.shape[1])
+    n = Xc.shape[0]
+    if n > 1:
+        np.einsum("ij,ij->j", Xc, Xc, out=sigmas)
+        sigmas /= n - 1
+        np.sqrt(sigmas, out=sigmas)
+        sigmas[~(sigmas > 0.0)] = 1.0
+    return sigmas
+
+
 BUNDLE_VERSION = 2
+
+
+@dataclass(frozen=True, eq=False)
+class AffineFront:
+    """The front end x W + b as a bundle stores it: a loaded bundle's, or a
+    direct-route PCA fit's."""
+
+    weight: np.ndarray
+    offset: np.ndarray
+
+    @property
+    def n_features(self) -> int:
+        return self.weight.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +122,7 @@ class GramFront:
     For a row x whose raw Gram row over the training rows is g (entries
     x diag(scale^2) x_i), x W + b = (g - mean(g)) coef + b. gram is the raw
     Gram the fit read, and pos holds the training rows' positions in it.
-    W = diag(scale^2) (X[train] - means)^T coef is formed only by weight().
+    W = diag(scale^2) (X[train] - means)^T coef is formed when first read.
     """
 
     X: np.ndarray
@@ -103,49 +131,104 @@ class GramFront:
     coef: np.ndarray             # n x k
     gram: np.ndarray
     pos: np.ndarray
+    offset: np.ndarray
 
-    def apply(self, rows: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    @property
+    def n_features(self) -> int:
+        return self.X.shape[1]
+
+    def apply(self, rows: np.ndarray) -> np.ndarray:
         """x W + b for the rows at the positions rows of gram."""
         C = self.gram[np.ix_(rows, self.pos)]
         C -= C.mean(axis=1, keepdims=True)
         Z = C @ self.coef
-        Z += offset
+        Z += self.offset
         return Z
 
+    @cached_property
     def weight(self) -> np.ndarray:
         scale = None if self.scale is None else self.scale * self.scale
         return map_back(self.X, self.train, self.coef, scale)[0]
 
 
 @dataclass(frozen=True, eq=False)
+class KernelFront:
+    """VAF-SVM's fit on the rows of X: the z-score z(x) = (x - means) /
+    sigmas of its training rows, and the kernel rows of the rows it read.
+
+    kernel[pos[i], j] = k(z(X[i]), z(X[sv[j]])), with sv the training rows
+    that are the classifier's support vectors; pos[i] is -1 for the rows of
+    X that the fit did not read. The bundle's scale 1/sigmas and offset
+    -means/sigmas are formed when first read, and the support vectors
+    z(X[sv]) each time support_vectors() is called.
+    """
+
+    X: np.ndarray
+    sv: np.ndarray
+    means: np.ndarray
+    sigmas: np.ndarray
+    kernel: np.ndarray
+    pos: np.ndarray
+
+    @property
+    def n_features(self) -> int:
+        return self.X.shape[1]
+
+    def covers(self, X: np.ndarray, rows: np.ndarray) -> bool:
+        """Whether kernel holds the rows of X that rows selects."""
+        return X is self.X and bool(np.all(self.pos[rows] >= 0))
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        return 1.0 / self.sigmas
+
+    @cached_property
+    def offset(self) -> np.ndarray:
+        return -(self.means / self.sigmas)
+
+    def support_vectors(self) -> np.ndarray:
+        """z(X[sv]) as a C-order array, scaled as standardize scales the
+        training rows."""
+        Z = np.take(self.X, self.sv, axis=0)
+        Z -= self.means
+        Z /= self.sigmas
+        return Z
+
+
+@dataclass(frozen=True, eq=False)
 class PipelineModel:
     """Self-contained bundle: feature recipe + affine front end + classifier.
 
-    weight is m x k in F order (PCA pipelines) or a length-m scale
-    (VAF-SVM); offset has one entry per classifier input. front is W
-    itself, or the Gram-route fit that W is mapped back from when weight is
-    first read. pca_retained and pca_cumulative_variance describe a PCA fit
-    (None for VAF-SVM and for loaded bundles); they are not in the bundle.
+    front holds the front end's weight, m x k in F order (PCA pipelines)
+    or a length-m scale (VAF-SVM), and its offset, one entry per classifier
+    input. A fit's front may form them only when first read (GramFront,
+    KernelFront). pca_retained and pca_cumulative_variance describe a PCA
+    fit, and identity_kernel says whether a VAF-SVM fit's training kernel
+    was exactly the identity; they are None where they do not apply and
+    for loaded bundles, and they are not in the bundle.
     """
 
     pipeline: str
     feature_kind: FeatureKind
     block_grid: tuple[int, int, int] | None
     bins: int | None
-    front: np.ndarray | GramFront
-    offset: np.ndarray
+    front: AffineFront | GramFront | KernelFront
     classifier: svm.SvmModel | ann.AnnModel
     pca_retained: int | None = None
     pca_cumulative_variance: float | None = None
+    identity_kernel: bool | None = None
 
-    @cached_property
+    @property
     def weight(self) -> np.ndarray:
-        return self.front.weight() if isinstance(self.front, GramFront) else self.front
+        return self.front.weight
+
+    @property
+    def offset(self) -> np.ndarray:
+        return self.front.offset
 
     @property
     def n_features(self) -> int:
-        front = self.front
-        return front.X.shape[1] if isinstance(front, GramFront) else front.shape[0]
+        return self.front.n_features
 
     def to_dict(self, arrays: bool = False) -> dict:
         """The bundle as JSON-ready values; arrays=True leaves the numpy
@@ -203,8 +286,7 @@ class PipelineModel:
             feature_kind=kind,
             block_grid=block_grid,
             bins=bins,
-            front=weight,
-            offset=offset,
+            front=AffineFront(weight, offset),
             classifier=classifier,
         )
 
@@ -257,11 +339,7 @@ def _affine(X: np.ndarray, W: np.ndarray, offset: np.ndarray,
     written."""
     if rows is not None:
         X = np.take(X, rows, axis=0)
-    if W.ndim == 2:
-        Z = X @ W
-    else:
-        # a gather is our own copy, so VAF-SVM scales it in place
-        Z = X * W if rows is None else np.multiply(X, W, out=X)
+    Z = X @ W if W.ndim == 2 else X * W
     Z += offset
     return Z
 
@@ -270,6 +348,48 @@ def _prescale(X: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
     """pca_prescale's column factors 1/sigma, sigma as standardize gives it
     on the training rows, read one column block at a time."""
     return 1.0 / np.concatenate([standardize(Xb)[2] for _, _, Xb in column_blocks(X, rows)])
+
+
+def _kernel_rows(X: np.ndarray, train: np.ndarray, val_rows: np.ndarray | None,
+                 kernel: svm.KernelSpec
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """VAF-SVM's pass over X: (means, sigmas, K, pos).
+
+    means and sigmas are standardize's on the training rows (the rows of X
+    that the integer indices train select), and z(x) = (x - means) /
+    sigmas. K holds k(z(x), z_j) over the training rows j for the training
+    rows, then for every row of X that is neither a training nor a
+    validation row (SVM training ignores the validation rows); pos[i] is
+    the position of row i of X in K, or -1. Each column block is gathered
+    in that order and z-scored in place (times 1/sigmas, so K may differ
+    from a kernel of standardize's rows in the last bits), and only the
+    inner products with the z-scored training rows and the other rows'
+    squared norms are summed."""
+    n, m = X.shape
+    t, rest = train.size, np.ones(n, dtype=bool)
+    rest[train] = False
+    if val_rows is not None:
+        rest[val_rows] = False
+    order = np.concatenate([train, np.flatnonzero(rest)])
+    means, sigmas = np.empty(m), np.empty(m)
+    G = np.zeros((order.size, t))
+    norms = np.zeros(order.size)
+    for a, b, Xb in column_blocks(X, order):
+        # the means and sigmas bit for bit as standardize gives them on the
+        # training rows; the gathered block is scaled in place
+        mu = means[a:b] = Xb[:t].mean(axis=0)
+        Xb -= mu
+        sd = sigmas[a:b] = _sigmas(Xb[:t])
+        Xb *= 1.0 / sd
+        Zt, Zr = Xb[:t], Xb[t:]
+        G[:t] += Zt @ Zt.T          # numpy's syrk, so exactly symmetric
+        G[t:] += Zr @ Zt.T
+        norms[t:] += np.einsum("ij,ij->i", Zr, Zr)
+    # the training norms are the Gram's diagonal, so every k(z, z) is exact
+    norms[:t] = G.diagonal()
+    pos = np.full(n, -1)
+    pos[order] = np.arange(order.size)
+    return means, sigmas, svm.kernel_values(kernel, G, norms, norms[:t]), pos
 
 
 def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
@@ -297,15 +417,21 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     rows, val_rows = _row_indices(rows), _row_indices(val_rows)
     targets = signs if rows is None else signs[rows]
     kind = pipeline_feature_kind(pid, cfg)
-    retained = cum_variance = None
+    retained = cum_variance = identity = None
     val_pos = val_rows      # the validation rows' positions in G, if one is read
 
     if pid == "VAF-SVM":
-        Xs, means, sigmas = standardize(X, rows)
-        # composed in place in standardize's means and sigmas, which the fit
-        # no longer needs: two fewer m-wide allocations per fit
-        offset = np.negative(np.divide(means, sigmas, out=means), out=means)
-        front = np.divide(1.0, sigmas, out=sigmas)
+        kernel = cfg.kernel_spec()
+        train = np.arange(X.shape[0]) if rows is None else rows
+        means, sigmas, K, pos = _kernel_rows(X, train, val_rows, kernel)
+        K_train = K[:train.size]
+        alpha, bias = svm.smo(K_train, targets, cfg.C, cfg.svm_tol)
+        identity = bool(np.array_equal(K_train, np.eye(train.size)))
+        keep = alpha > svm.SV_EPS
+        front = KernelFront(X, train[keep], means, sigmas, K[:, keep], pos)
+        classifier = svm.SvmModel(support_vectors=front.support_vectors,
+                                  alphas=alpha[keep], labels=targets[keep], bias=bias,
+                                  kernel=kernel, C=cfg.C)
     else:
         scale = _prescale(X, rows) if cfg.pca_prescale else None
         n = X.shape[0] if rows is None else rows.size
@@ -332,26 +458,26 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         Xs, means, sigmas = standardize(pca_model.scores)
         offset = (pca_model.origin[:retained] - means) / sigmas
         if pca_model.coef is None:
-            front = pca_model.components[:, :retained] / sigmas
+            W = pca_model.components[:, :retained] / sigmas
             if scale is not None:
-                front *= scale[:, None]
+                W *= scale[:, None]
+            front = AffineFront(W, offset)
         else:
             front = GramFront(X, rows, scale, pca_model.coef[:, :retained] / sigmas,
-                              G, pos)
+                              G, pos, offset)
         del pca_model
 
-    if pid.endswith("SVM"):
-        # on VAF-SVM the model may keep Xs itself as its support vectors
-        classifier = svm.train_svm(Xs, targets, C=cfg.C, kernel=cfg.kernel_spec(),
-                                   tol=cfg.svm_tol)
-    else:
-        vXs = vt = None
-        if val_rows is not None:
-            vXs = (front.apply(val_pos, offset) if isinstance(front, GramFront)
-                   else _affine(X, front, offset, val_rows))
-            vt = signs[val_rows]
-        train_cfg = cfg.train_config(seed=ann_seed)
-        classifier = ann.train_ann(Xs, targets, train_cfg, val_X=vXs, val_targets=vt)
+        if pid == "PCA-SVM":
+            classifier = svm.train_svm(Xs, targets, C=cfg.C, kernel=cfg.kernel_spec(),
+                                       tol=cfg.svm_tol)
+        else:
+            vXs = vt = None
+            if val_rows is not None:
+                vXs = (front.apply(val_pos) if isinstance(front, GramFront)
+                       else _affine(X, front.weight, offset, val_rows))
+                vt = signs[val_rows]
+            train_cfg = cfg.train_config(seed=ann_seed)
+            classifier = ann.train_ann(Xs, targets, train_cfg, val_X=vXs, val_targets=vt)
 
     grayscale = kind is FeatureKind.GRAYSCALE
     return PipelineModel(
@@ -359,11 +485,11 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         feature_kind=kind,
         block_grid=tuple(cfg.block_grid) if grayscale else None,
         bins=cfg.bins if grayscale else None,
-        offset=offset,
-        classifier=classifier,
         front=front,
+        classifier=classifier,
         pca_retained=retained,
         pca_cumulative_variance=cum_variance,
+        identity_kernel=identity,
     )
 
 
@@ -373,21 +499,27 @@ def predict_matrix(model: PipelineModel, X: np.ndarray,
     """Labels and decision scores for raw feature rows (pre-PCA space), or
     for the rows of X that the integer indices rows select; X is never
     written. gram, if given, is the raw_gram(X) the model was fit from;
-    the rows are then scored from their Gram rows, without reading X."""
+    the rows are then scored from their Gram rows, without reading X. Rows
+    of the very X that a VAF-SVM model was fit on are scored from the fit's
+    kernel rows, without reading X either."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.n_features:
         raise ValueError(
             f"X has {X.shape[1]} features, the bundle expects {model.n_features}"
         )
     rows = _row_indices(rows)
-    if rows is not None and isinstance(model.front, GramFront) and model.front.gram is gram:
-        Z = model.front.apply(rows, model.offset)
+    front, clf = model.front, model.classifier
+    if rows is not None and isinstance(front, KernelFront) and front.covers(X, rows):
+        scores = svm.decision_kernel(clf, front.kernel[front.pos[rows]])
     else:
-        Z = _affine(X, model.weight, model.offset, rows)
-    if isinstance(model.classifier, svm.SvmModel):
-        scores = svm.decision_batch(model.classifier, Z)
-    else:
-        scores = ann.forward_batch(model.classifier, Z)
+        if rows is not None and isinstance(front, GramFront) and front.gram is gram:
+            Z = front.apply(rows)
+        else:
+            Z = _affine(X, front.weight, front.offset, rows)
+        if isinstance(clf, svm.SvmModel):
+            scores = svm.decision_batch(clf, Z)
+        else:
+            scores = ann.forward_batch(clf, Z)
     return [from_sign(s) for s in scores], scores
 
 

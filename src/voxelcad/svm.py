@@ -18,10 +18,17 @@ The bias is the median of y_i - sum_j a_j y_j k(x_i, x_j) over free support
 vectors (0 < a < C); with no free vectors it is the midpoint of the
 feasible interval implied by the bound vectors.
 
-Models store only the vectors with a_i > 1e-8, in C order; a model that
-keeps every training row holds a C-order training matrix itself, not a
-copy. decision_batch expects rows in the space the model was trained in;
-for a pipeline that is the output of its affine front end, which
+smo solves the dual on a given kernel matrix; solve_dual builds that
+matrix from the training rows first. A caller that already holds the
+kernel, such as VAF-SVM's blocked fit (pipeline.KernelFront), calls smo
+directly and scores rows from their kernel rows with decision_kernel.
+
+Models store only the vectors with a_i > 1e-8, in C order. Their
+support_vectors may also be given as a callable that forms them when first
+read, so a fit that scores from kernel rows never forms them. The squared
+norms of the support vectors are computed once per model.
+decision_batch expects rows in the space the model was trained in; for a
+pipeline that is the output of its affine front end, which
 pipeline.predict_matrix applies first.
 """
 
@@ -29,12 +36,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bundlefields import array_field, number_field
 
-_SV_EPS = 1e-8          # support-vector retention threshold on alpha
+SV_EPS = 1e-8           # support-vector retention threshold on alpha
 _BOUND_SNAP = 1e-10     # snap alphas this close to 0/C (relative to C)
 
 
@@ -57,8 +65,21 @@ class KernelSpec:
             raise ValueError("Gaussian kernel scale must be > 0")
 
 
-def gram_matrix(k: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-    """Kernel matrix k(A_i, B_j); B defaults to A."""
+def kernel_values(k: KernelSpec, AB: np.ndarray, na: np.ndarray,
+                  nb: np.ndarray) -> np.ndarray:
+    """k(a_i, b_j) from the inner products AB = A B^T and the squared row
+    norms na of A and nb of B (which the linear kernel does not read)."""
+    if k.kind is KernelKind.LINEAR:
+        return AB
+    sq = na[:, None] + nb[None, :] - 2.0 * AB
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-sq / (k.scale * k.scale))
+
+
+def gram_matrix(k: KernelSpec, A: np.ndarray, B: np.ndarray | None = None,
+                b_norms: np.ndarray | None = None) -> np.ndarray:
+    """Kernel matrix k(A_i, B_j); B defaults to A. b_norms, if given, are
+    the squared row norms of B."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = A if B is None else np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
@@ -72,36 +93,49 @@ def gram_matrix(k: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np
         na = nb = AB.diagonal()
     else:
         na = np.einsum("ij,ij->i", A, A)
-        nb = np.einsum("ij,ij->i", B, B)
-    sq = na[:, None] + nb[None, :] - 2.0 * AB
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (k.scale * k.scale))
+        nb = np.einsum("ij,ij->i", B, B) if b_norms is None else b_norms
+    return kernel_values(k, AB, na, nb)
 
 
-@dataclass(frozen=True)
 class SvmModel:
-    """Trained SVM: support vectors, their dual coefficients and the bias."""
+    """Trained SVM: support vectors, their dual coefficients and the bias.
 
-    support_vectors: np.ndarray
-    alphas: np.ndarray
-    labels: np.ndarray          # +/-1 per support vector
-    bias: float
-    kernel: KernelSpec
-    C: float
+    support_vectors is an array, or a zero-argument callable that forms it
+    when it is first read.
+    """
 
-    def __post_init__(self):
-        sv = np.atleast_2d(np.asarray(self.support_vectors, dtype=np.float64))
-        a = np.asarray(self.alphas, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.float64)
-        if sv.shape[0] != a.shape[0] or a.shape != y.shape:
+    def __init__(self, support_vectors, alphas, labels, bias: float,
+                 kernel: KernelSpec, C: float):
+        a = np.asarray(alphas, dtype=np.float64)
+        y = np.asarray(labels, dtype=np.float64)
+        if a.shape != y.shape:
             raise ValueError("support_vectors, alphas and labels disagree in length")
-        if a.size and (a.min() <= 0.0 or a.max() > self.C + 1e-9):
+        if a.size and (a.min() <= 0.0 or a.max() > C + 1e-9):
             raise ValueError("stored alphas must satisfy 0 < a <= C + 1e-9")
-        if abs(float(a @ y)) > 1e-6 * self.C:
+        if abs(float(a @ y)) > 1e-6 * C:
             raise ValueError("support coefficients are not balanced: |sum a*y| too large")
-        object.__setattr__(self, "support_vectors", sv)
-        object.__setattr__(self, "alphas", a)
-        object.__setattr__(self, "labels", y)
+        self.alphas, self.labels = a, y
+        self.bias, self.kernel, self.C = bias, kernel, C
+        if callable(support_vectors):
+            self._form_support_vectors = support_vectors
+        else:
+            self.support_vectors = self._checked(support_vectors)
+
+    def _checked(self, sv) -> np.ndarray:
+        sv = np.atleast_2d(np.asarray(sv, dtype=np.float64))
+        if sv.shape[0] != self.alphas.shape[0]:
+            raise ValueError("support_vectors, alphas and labels disagree in length")
+        return sv
+
+    @cached_property
+    def support_vectors(self) -> np.ndarray:
+        return self._checked(self._form_support_vectors())
+
+    @cached_property
+    def sv_norms(self) -> np.ndarray:
+        """Squared norms of the support vectors."""
+        sv = self.support_vectors
+        return np.einsum("ij,ij->i", sv, sv)
 
     def to_dict(self, arrays: bool = False) -> dict:
         """JSON-ready fields; arrays=True leaves the numpy arrays as they are."""
@@ -135,18 +169,25 @@ class SvmModel:
 def solve_dual(X: np.ndarray, y: np.ndarray, C: float, kernel: KernelSpec,
                tol: float = 1e-3, max_iter: int | None = None
                ) -> tuple[np.ndarray, float]:
-    """SMO solve of the dual QP; returns (alphas, bias).
+    """SMO solve of the dual QP on the training rows X; returns (alphas,
+    bias). See smo."""
+    return smo(gram_matrix(kernel, X), y, C, tol, max_iter)
+
+
+def smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3,
+        max_iter: int | None = None) -> tuple[np.ndarray, float]:
+    """SMO solve of the dual QP on the training kernel matrix K; returns
+    (alphas, bias).
 
     max_iter caps pair optimizations (default 100 * n); exceeding it raises
     SvmError carrying the worst remaining violation.
     """
-    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = X.shape[0]
+    n = K.shape[0]
     if n < 2:
         raise ValueError("need at least two training samples")
     if y.shape != (n,) or not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("y must be a +/-1 vector matching X rows")
+        raise ValueError("y must be a +/-1 vector, one entry per training row")
     if np.all(y == 1.0) or np.all(y == -1.0):
         raise ValueError("single-class input: the equality constraint forces alpha = 0")
     if not C > 0:
@@ -154,7 +195,6 @@ def solve_dual(X: np.ndarray, y: np.ndarray, C: float, kernel: KernelSpec,
     if max_iter is None:
         max_iter = 100 * n
 
-    K = gram_matrix(kernel, X)
     alpha = np.zeros(n)
     G = np.zeros(n)       # sum_j alpha_j y_j K_ij
     snap = _BOUND_SNAP * C
@@ -167,9 +207,9 @@ def solve_dual(X: np.ndarray, y: np.ndarray, C: float, kernel: KernelSpec,
         up = ((y > 0) & ~at_upper) | ((y < 0) & ~at_lower)
         low = ((y > 0) & ~at_lower) | ((y < 0) & ~at_upper)
         # both sets are non-empty: each class contributes to one of them at
-        # any feasible alpha
-        i = int(np.flatnonzero(up)[np.argmin(F[up])])
-        j = int(np.flatnonzero(low)[np.argmax(F[low])])
+        # any feasible alpha; argmin/argmax take the lowest index on ties
+        i = int(np.where(up, F, np.inf).argmin())
+        j = int(np.where(low, F, -np.inf).argmax())
         gap = F[j] - F[i]
         if gap <= tol:
             break
@@ -237,23 +277,22 @@ def train_svm(X: np.ndarray, y: np.ndarray, C: float = 1.0,
               max_iter: int | None = None) -> SvmModel:
     """solve_dual + support-vector filtering into an SvmModel.
 
-    X must already be in the model's input space. When every row is kept
-    as a support vector and X is a C-order float64 array, the model holds X
-    itself rather than a copy, so it shares X's memory. Support vectors are
-    always stored in C order, the layout of a model read back from JSON, so
-    a model scores bit-identically to its round trip.
+    X must already be in the model's input space. The support vectors are
+    a C-order copy of the kept rows, the layout of a model read back from
+    JSON, so a model scores bit-identically to its round trip.
     """
-    alpha, bias = solve_dual(X, y, C, kernel, tol, max_iter)
-    keep = alpha > _SV_EPS
     X = np.asarray(X, dtype=np.float64)
-    return SvmModel(
-        support_vectors=np.ascontiguousarray(X) if keep.all() else X[keep],
-        alphas=alpha[keep],
-        labels=np.asarray(y, dtype=np.float64)[keep],
-        bias=bias,
-        kernel=kernel,
-        C=C,
-    )
+    y = np.asarray(y, dtype=np.float64)
+    alpha, bias = solve_dual(X, y, C, kernel, tol, max_iter)
+    keep = alpha > SV_EPS
+    return SvmModel(support_vectors=X[keep], alphas=alpha[keep], labels=y[keep],
+                    bias=bias, kernel=kernel, C=C)
+
+
+def decision_kernel(model: SvmModel, K: np.ndarray) -> np.ndarray:
+    """f(x) = sum_i a_i y_i k(x, x_i) + bias from the kernel rows
+    K[r, i] = k(x_r, x_i) against the model's support vectors."""
+    return K @ (model.alphas * model.labels) + model.bias
 
 
 def decision_batch(model: SvmModel, X: np.ndarray) -> np.ndarray:
@@ -261,5 +300,5 @@ def decision_batch(model: SvmModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if model.support_vectors.shape[0] == 0:
         return np.full(X.shape[0], model.bias)
-    K = gram_matrix(model.kernel, X, model.support_vectors)
-    return K @ (model.alphas * model.labels) + model.bias
+    return decision_kernel(model, gram_matrix(model.kernel, X, model.support_vectors,
+                                              model.sv_norms))

@@ -12,6 +12,7 @@ from voxelcad.evaluation import (ConfusionMatrix, EvalError, Metrics,
                                  stratified_split, write_report_csv,
                                  write_report_json)
 from voxelcad.pipeline import PIPELINES
+from voxelcad.svm import KernelSpec
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,23 @@ def test_cross_validate_report_shapes(small_reports, small_runconfig):
         else:
             assert fallback == []
         assert "timing" in d  # the original is untouched
+
+
+@pytest.mark.parametrize("scale, identity", [(KernelSpec.scale, 0), (0.01, 4)])
+def test_vaf_svm_notes_count_the_folds_with_an_identity_kernel(scale, identity, small_dataset,
+                                                              small_runconfig):
+    # at the default scale the 504-voxel kernel is only nearly the identity
+    # (off-diagonal entries about 1e-56); at 0.01 it is the identity exactly
+    cfg = dataclasses.replace(small_runconfig, kernel_scale=scale)
+    (report,) = cross_validate(small_dataset[0], ["VAF-SVM"], cfg)
+    assert [fr.identity_kernel for fr in report.fold_results].count(True) == identity
+    assert (f"{identity} of {cfg.folds} folds fit a training kernel that is exactly the "
+            "identity, on which VAF-SVM scores every test row at its bias and predicts "
+            "the training majority") in report.notes
+    if identity:
+        # every fold predicts AD, the majority of its training rows
+        assert (report.aggregate.tp, report.aggregate.fp) == (12, 8)
+    assert "identity_kernel" not in report.to_dict()["folds"][0]
 
 
 def test_pca_folds_report_what_the_pca_kept(small_reports, small_runconfig):
