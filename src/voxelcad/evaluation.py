@@ -11,18 +11,25 @@ training rows, so no test information leaks into fitted parameters.
 cross_validate hands fit_pipeline the whole feature matrix and the fold's
 training and validation row indices, and predict_matrix the test rows'
 indices. For the PCA pipelines it also builds one raw Gram X X^T per
-feature matrix (pca.raw_gram, without pca_prescale) and passes it to both:
-every fold's PCA fit, and its validation and test scores, are read from
+feature matrix (pca.raw_gram, without pca_prescale) and passes it to every
+fold's fit: each fold's PCA fit, and its validation rows, are read from
 that n x n matrix, so no fold gathers, centres or multiplies the m-wide
 rows. Its entry (i, j) depends on rows i and j only, so the fits stay
-independent of the test rows. Each PCA fold reports the components it
-kept and the share of the training variance they explain; each PCA-ANN
-fold reports the early-stopping epoch whose weights it kept (0 is the
-mean-target network, which predicts the training majority), and the notes
-count those fallbacks. VAF-SVM fits and scores each fold in one blocked
-pass over X (pipeline.KernelFront); its notes count the folds whose
-training kernel is exactly the identity, where every test row scores at
-the bias.
+independent of the test rows. VAF-SVM fits each fold in one blocked pass
+over X that also forms its test rows' kernel rows. Each fit that has read
+its fold's test rows (VAF-SVM, and the PCA pipelines given the Gram)
+scores them itself, and predict_matrix reads those scores back. So a
+fold's train_time_s includes its test-row scoring, and
+prediction_obs_per_s times only the reading of the scores; with
+pca_prescale the PCA fits read no test rows, and predict_matrix scores
+them through the bundle's front end.
+
+Each PCA fold reports the components it kept and the share of the
+training variance they explain; each PCA-ANN fold reports the
+early-stopping epoch whose weights it kept (0 is the mean-target network,
+which predicts the training majority), and the notes count those
+fallbacks. The VAF-SVM notes count the folds whose training kernel is
+exactly the identity, where every test row scores at the bias.
 
 A report's mean metrics are micro-averages: they are recomputed from the
 summed confusion counts, which makes "mean equals aggregate" an identity
@@ -344,7 +351,7 @@ def cross_validate(manifest_path, pipelines, cfg: RunConfig) -> list[EvalReport]
                 pca_variance = model.pca_cumulative_variance
                 identity = model.identity_kernel
                 t0 = time.perf_counter()
-                predicted, _ = predict_matrix(model, X, rows=sp.test, gram=gram)
+                predicted, _ = predict_matrix(model, X, rows=sp.test)
                 pred_time += time.perf_counter() - t0
                 # drop the fold's model now; on VAF features its m-wide
                 # arrays would otherwise stay live through the next fit

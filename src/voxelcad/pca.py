@@ -216,7 +216,7 @@ def contribution_rates(eigenvalues) -> np.ndarray:
     ev = np.asarray(eigenvalues, dtype=np.float64)
     if ev.size == 0:
         raise ValueError("empty spectrum")
-    floor = -_EIG_NEG_TOL * np.max(np.abs(ev)) if ev.size else 0.0
+    floor = -_EIG_NEG_TOL * np.max(np.abs(ev))
     if np.any(ev < floor):
         raise ValueError("eigenvalues are negative beyond round-off tolerance")
     ev = np.maximum(ev, 0.0)

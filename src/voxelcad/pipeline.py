@@ -13,31 +13,38 @@ map, so the bundle stores only its composition, x -> x W + b with W of
 shape m x k for the PCA pipelines and a per-feature scale w (x * w + b)
 for VAF-SVM, and prediction applies it in a single step.
 
-The PCA pipelines fit from a raw Gram matrix (pca.raw_gram): the one
-cross-validation builds once over every row of X and passes as gram, or
-else one the fit builds over its training and validation rows (with
-pca_prescale, of X diag(1/sigma), sigma from the training rows). On the
-Gram route (more features than training rows) no fit gathers, centres or
-multiplies the m-wide rows: validation rows, and test rows scored with the
-same gram, go through the composed map in n-space (GramFront). W is mapped
-back from the training rows only when read, to write a bundle or to score
-rows the gram does not cover. On the direct route (m <= n) PCA centres a
-gathered copy of the training rows and W is formed at once.
+Every PCA fit takes pca.fit_pca's Gram route, which is exact for any shape
+(kernel PCA with a linear kernel), from a raw Gram matrix (pca.raw_gram):
+the one cross-validation builds once over every row of X and passes as
+gram, or else one the fit builds over its training and validation rows
+(with pca_prescale, of X diag(1/sigma), sigma from the training rows). No
+fit gathers, centres or multiplies the m-wide rows: the validation rows go
+through the composed map in n-space, from their Gram rows. W is mapped back
+from the training rows only when read, to write a bundle or to score rows
+that the fit did not.
 
-VAF-SVM makes no copy of its rows either (KernelFront). One pass over X,
-one pca.column_blocks block at a time, takes each block's means and sigmas
-from the training rows (standardize on the block), z-scores the gathered
-block in place, training rows first, and sums only small products: the
-training rows' Gram Z_t Z_t^T and the other rows' Z_r Z_t^T. Validation
-rows, which SVM training ignores, are not read. SMO's training kernel and
-the kernel rows of every other row come from those sums, so a fold's test
-rows are scored from their kernel rows, with no second pass. The bundle's
-scale and offset and the z-scored support vectors are formed from X only
-when read, to write a bundle or to score rows that the fit did not read.
+VAF-SVM makes no copy of its rows either. One pass over X, one
+pca.column_blocks block at a time, takes each block's means and sigmas from
+the training rows (standardize on the block), z-scores the gathered block
+in place, training rows first, and sums only small products: the training
+rows' Gram Z_t Z_t^T and the held-out rows' Z_r Z_t^T. Validation rows,
+which SVM training ignores, are not read. SMO's training kernel and the
+kernel rows of the held-out rows come from those sums. The bundle's scale
+and offset and the z-scored support vectors are formed from X only when
+read.
+
+So every fit ends its n-space work itself: the rows of X that are neither
+training nor validation rows, when the fit has read them (VAF-SVM always,
+the PCA pipelines when given gram), are scored inside the fit in one batch,
+in ascending row order, and the model keeps their scores (held_out). For a
+cross-validation fold those are its test rows. predict_matrix reads rows
+of the fit's own X from those scores, and sends every other row through the
+bundle's one front end, AffineFront.
 
 No stage writes into the caller's X, and a fit that refers to X needs it
 unchanged until its model is dropped. predict_matrix takes the same rows
-argument, so scoring rows that no fit covers gathers them at most once.
+argument, so scoring rows that the fit did not score gathers them at most
+once.
 """
 
 from __future__ import annotations
@@ -102,97 +109,27 @@ def _sigmas(Xc: np.ndarray) -> np.ndarray:
 BUNDLE_VERSION = 2
 
 
-@dataclass(frozen=True, eq=False)
 class AffineFront:
-    """The front end x W + b as a bundle stores it: a loaded bundle's, or a
-    direct-route PCA fit's."""
+    """The front end x W + b as a bundle stores it: W is m x k in F order
+    for the PCA pipelines, and a length-m scale w, applied as x * w + b,
+    for VAF-SVM. affine is the pair (W, b), or a zero-argument callable
+    that a fit passes to form them when first read."""
 
-    weight: np.ndarray
-    offset: np.ndarray
-
-    @property
-    def n_features(self) -> int:
-        return self.weight.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class GramFront:
-    """The composed front end of a Gram-route PCA fit, in n-space.
-
-    For a row x whose raw Gram row over the training rows is g (entries
-    x diag(scale^2) x_i), x W + b = (g - mean(g)) coef + b. gram is the raw
-    Gram the fit read, and pos holds the training rows' positions in it.
-    W = diag(scale^2) (X[train] - means)^T coef is formed when first read.
-    """
-
-    X: np.ndarray
-    train: np.ndarray | None     # training rows of X; None is every row
-    scale: np.ndarray | None     # pca_prescale's 1/sigma, or None
-    coef: np.ndarray             # n x k
-    gram: np.ndarray
-    pos: np.ndarray
-    offset: np.ndarray
-
-    @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
-
-    def apply(self, rows: np.ndarray) -> np.ndarray:
-        """x W + b for the rows at the positions rows of gram."""
-        C = self.gram[np.ix_(rows, self.pos)]
-        C -= C.mean(axis=1, keepdims=True)
-        Z = C @ self.coef
-        Z += self.offset
-        return Z
+    def __init__(self, n_features: int, affine):
+        self.n_features = n_features
+        self._affine = affine
 
     @cached_property
+    def _pair(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._affine() if callable(self._affine) else self._affine
+
+    @property
     def weight(self) -> np.ndarray:
-        scale = None if self.scale is None else self.scale * self.scale
-        return map_back(self.X, self.train, self.coef, scale)[0]
-
-
-@dataclass(frozen=True, eq=False)
-class KernelFront:
-    """VAF-SVM's fit on the rows of X: the z-score z(x) = (x - means) /
-    sigmas of its training rows, and the kernel rows of the rows it read.
-
-    kernel[pos[i], j] = k(z(X[i]), z(X[sv[j]])), with sv the training rows
-    that are the classifier's support vectors; pos[i] is -1 for the rows of
-    X that the fit did not read. The bundle's scale 1/sigmas and offset
-    -means/sigmas are formed when first read, and the support vectors
-    z(X[sv]) each time support_vectors() is called.
-    """
-
-    X: np.ndarray
-    sv: np.ndarray
-    means: np.ndarray
-    sigmas: np.ndarray
-    kernel: np.ndarray
-    pos: np.ndarray
+        return self._pair[0]
 
     @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
-
-    def covers(self, X: np.ndarray, rows: np.ndarray) -> bool:
-        """Whether kernel holds the rows of X that rows selects."""
-        return X is self.X and bool(np.all(self.pos[rows] >= 0))
-
-    @cached_property
-    def weight(self) -> np.ndarray:
-        return 1.0 / self.sigmas
-
-    @cached_property
     def offset(self) -> np.ndarray:
-        return -(self.means / self.sigmas)
-
-    def support_vectors(self) -> np.ndarray:
-        """z(X[sv]) as a C-order array, scaled as standardize scales the
-        training rows."""
-        Z = np.take(self.X, self.sv, axis=0)
-        Z -= self.means
-        Z /= self.sigmas
-        return Z
+        return self._pair[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,22 +138,26 @@ class PipelineModel:
 
     front holds the front end's weight, m x k in F order (PCA pipelines)
     or a length-m scale (VAF-SVM), and its offset, one entry per classifier
-    input. A fit's front may form them only when first read (GramFront,
-    KernelFront). pca_retained and pca_cumulative_variance describe a PCA
-    fit, and identity_kernel says whether a VAF-SVM fit's training kernel
-    was exactly the identity; they are None where they do not apply and
-    for loaded bundles, and they are not in the bundle.
+    input; a fit's front forms them only when first read. pca_retained and
+    pca_cumulative_variance describe a PCA fit, identity_kernel says
+    whether a VAF-SVM fit's training kernel was exactly the identity, and
+    held_out is (X, positions, scores): the decision scores of the rows of
+    the fit's X at the ascending positions, which the fit read and scored
+    although it neither trained nor validated on them. They are None where
+    they do not apply and for loaded bundles, and they are not in the
+    bundle.
     """
 
     pipeline: str
     feature_kind: FeatureKind
     block_grid: tuple[int, int, int] | None
     bins: int | None
-    front: AffineFront | GramFront | KernelFront
+    front: AffineFront
     classifier: svm.SvmModel | ann.AnnModel
     pca_retained: int | None = None
     pca_cumulative_variance: float | None = None
     identity_kernel: bool | None = None
+    held_out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def weight(self) -> np.ndarray:
@@ -286,7 +227,7 @@ class PipelineModel:
             feature_kind=kind,
             block_grid=block_grid,
             bins=bins,
-            front=AffineFront(weight, offset),
+            front=AffineFront(weight.shape[0], (weight, offset)),
             classifier=classifier,
         )
 
@@ -350,27 +291,21 @@ def _prescale(X: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
     return 1.0 / np.concatenate([standardize(Xb)[2] for _, _, Xb in column_blocks(X, rows)])
 
 
-def _kernel_rows(X: np.ndarray, train: np.ndarray, val_rows: np.ndarray | None,
-                 kernel: svm.KernelSpec
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """VAF-SVM's pass over X: (means, sigmas, K, pos).
+def _kernel_rows(X: np.ndarray, train: np.ndarray, held: np.ndarray,
+                 kernel: svm.KernelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """VAF-SVM's pass over X: (means, sigmas, K).
 
     means and sigmas are standardize's on the training rows (the rows of X
     that the integer indices train select), and z(x) = (x - means) /
     sigmas. K holds k(z(x), z_j) over the training rows j for the training
-    rows, then for every row of X that is neither a training nor a
-    validation row (SVM training ignores the validation rows); pos[i] is
-    the position of row i of X in K, or -1. Each column block is gathered
-    in that order and z-scored in place (times 1/sigmas, so K may differ
-    from a kernel of standardize's rows in the last bits), and only the
-    inner products with the z-scored training rows and the other rows'
-    squared norms are summed."""
-    n, m = X.shape
-    t, rest = train.size, np.ones(n, dtype=bool)
-    rest[train] = False
-    if val_rows is not None:
-        rest[val_rows] = False
-    order = np.concatenate([train, np.flatnonzero(rest)])
+    rows, then for the rows held. Each column block is gathered in that
+    order and z-scored in place (times 1/sigmas, so K may differ from a
+    kernel of standardize's rows in the last bits), and only the inner
+    products with the z-scored training rows and the held rows' squared
+    norms are summed."""
+    m = X.shape[1]
+    t = train.size
+    order = np.concatenate([train, held])
     means, sigmas = np.empty(m), np.empty(m)
     G = np.zeros((order.size, t))
     norms = np.zeros(order.size)
@@ -387,9 +322,36 @@ def _kernel_rows(X: np.ndarray, train: np.ndarray, val_rows: np.ndarray | None,
         norms[t:] += np.einsum("ij,ij->i", Zr, Zr)
     # the training norms are the Gram's diagonal, so every k(z, z) is exact
     norms[:t] = G.diagonal()
-    pos = np.full(n, -1)
-    pos[order] = np.arange(order.size)
-    return means, sigmas, svm.kernel_values(kernel, G, norms, norms[:t]), pos
+    return means, sigmas, svm.kernel_values(kernel, G, norms, norms[:t])
+
+
+def _zscored(X: np.ndarray, rows: np.ndarray, means: np.ndarray,
+             sigmas: np.ndarray) -> np.ndarray:
+    """(X[rows] - means) / sigmas as a C-order array, scaled as standardize
+    scales the training rows."""
+    Z = np.take(X, rows, axis=0)
+    Z -= means
+    Z /= sigmas
+    return Z
+
+
+def _gram_front(G: np.ndarray, rows: np.ndarray, pos: np.ndarray, coef: np.ndarray,
+                offset: np.ndarray) -> np.ndarray:
+    """A Gram-route PCA fit's x W + b in n-space, for the rows at the
+    positions rows of the raw Gram G: with g a row's raw Gram row over the
+    training rows (at the positions pos), x W + b = (g - mean(g)) coef + b."""
+    C = G[np.ix_(rows, pos)]
+    C -= C.mean(axis=1, keepdims=True)
+    Z = C @ coef
+    Z += offset
+    return Z
+
+
+def _decision(clf: svm.SvmModel | ann.AnnModel, Z: np.ndarray) -> np.ndarray:
+    """The classifier's decision scores for rows Z in its input space."""
+    if isinstance(clf, svm.SvmModel):
+        return svm.decision_batch(clf, Z)
+    return ann.forward_batch(clf, Z)
 
 
 def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
@@ -408,6 +370,10 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     the raw Gram of every row of X; the PCA pipelines read it in place of
     building their own (ignored with pca_prescale). X itself is never
     written.
+
+    The fit scores the other rows of X, the held-out rows, whenever it has
+    read them: VAF-SVM always, the PCA pipelines when they read gram. The
+    model keeps those scores as held_out, and predict_matrix reads them.
     """
     pid = canonical_pipeline(pipeline)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -417,55 +383,51 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     rows, val_rows = _row_indices(rows), _row_indices(val_rows)
     targets = signs if rows is None else signs[rows]
     kind = pipeline_feature_kind(pid, cfg)
+    train = np.arange(X.shape[0]) if rows is None else rows
+    held = np.ones(X.shape[0], dtype=bool)
+    held[train] = False
+    if val_rows is not None:
+        held[val_rows] = False
+    held = np.flatnonzero(held)     # the held-out rows, ascending
     retained = cum_variance = identity = None
-    val_pos = val_rows      # the validation rows' positions in G, if one is read
 
     if pid == "VAF-SVM":
         kernel = cfg.kernel_spec()
-        train = np.arange(X.shape[0]) if rows is None else rows
-        means, sigmas, K, pos = _kernel_rows(X, train, val_rows, kernel)
+        means, sigmas, K = _kernel_rows(X, train, held, kernel)
         K_train = K[:train.size]
         alpha, bias = svm.smo(K_train, targets, cfg.C, cfg.svm_tol)
         identity = bool(np.array_equal(K_train, np.eye(train.size)))
         keep = alpha > svm.SV_EPS
-        front = KernelFront(X, train[keep], means, sigmas, K[:, keep], pos)
-        classifier = svm.SvmModel(support_vectors=front.support_vectors,
+        sv = train[keep]
+        front = AffineFront(X.shape[1], lambda: (1.0 / sigmas, -(means / sigmas)))
+        classifier = svm.SvmModel(support_vectors=lambda: _zscored(X, sv, means, sigmas),
                                   alphas=alpha[keep], labels=targets[keep], bias=bias,
                                   kernel=kernel, C=cfg.C)
+        held_scores = svm.decision_kernel(classifier, K[train.size:, keep])
     else:
         scale = _prescale(X, rows) if cfg.pca_prescale else None
-        n = X.shape[0] if rows is None else rows.size
-        G = Gtt = pos = None
-        if X.shape[1] > n:
-            if gram is None or scale is not None:
-                # the raw Gram of the rows this fit reads: training rows
-                # first, then validation rows
-                fit_rows = rows
-                if val_rows is not None:
-                    fit_rows = np.concatenate([np.arange(n) if rows is None else rows,
-                                               val_rows])
-                G = raw_gram(X, fit_rows, scale)
-                pos, val_pos = np.arange(n), np.arange(n, G.shape[0])
-                Gtt = G[:n, :n]
-            else:
-                G = gram
-                pos = np.arange(n) if rows is None else rows
-                Gtt = G if rows is None else G[np.ix_(rows, rows)]
-        pca_model = fit_pca(X, cum_threshold=cfg.pca_threshold, rows=rows,
+        n = train.size
+        if gram is None or scale is not None:
+            # the raw Gram of the rows this fit reads: training rows first,
+            # then validation rows; the held-out rows are not read
+            fit_rows = rows if val_rows is None else np.concatenate([train, val_rows])
+            G = raw_gram(X, fit_rows, scale)
+            pos, val_pos, held = np.arange(n), np.arange(n, G.shape[0]), held[:0]
+            Gtt = G[:n, :n]
+        else:
+            G, pos, val_pos = gram, train, val_rows
+            Gtt = G if rows is None else G[np.ix_(rows, rows)]
+        pca_model = fit_pca(X, cum_threshold=cfg.pca_threshold, method="gram", rows=rows,
                             scale=scale, gram=Gtt)
         retained = pca_model.retained
         cum_variance = float(np.cumsum(pca_model.contribution)[retained - 1])
         Xs, means, sigmas = standardize(pca_model.scores)
         offset = (pca_model.origin[:retained] - means) / sigmas
-        if pca_model.coef is None:
-            W = pca_model.components[:, :retained] / sigmas
-            if scale is not None:
-                W *= scale[:, None]
-            front = AffineFront(W, offset)
-        else:
-            front = GramFront(X, rows, scale, pca_model.coef[:, :retained] / sigmas,
-                              G, pos, offset)
+        coef = pca_model.coef[:, :retained] / sigmas
         del pca_model
+        # W = diag(scale^2) (X[train] - means)^T coef, mapped back when read
+        sq = None if scale is None else scale * scale
+        front = AffineFront(X.shape[1], lambda: (map_back(X, rows, coef, sq)[0], offset))
 
         if pid == "PCA-SVM":
             classifier = svm.train_svm(Xs, targets, C=cfg.C, kernel=cfg.kernel_spec(),
@@ -473,11 +435,14 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         else:
             vXs = vt = None
             if val_rows is not None:
-                vXs = (front.apply(val_pos) if isinstance(front, GramFront)
-                       else _affine(X, front.weight, offset, val_rows))
+                # the validation rows in their own product, apart from the
+                # held-out rows
+                vXs = _gram_front(G, val_pos, pos, coef, offset)
                 vt = signs[val_rows]
             train_cfg = cfg.train_config(seed=ann_seed)
             classifier = ann.train_ann(Xs, targets, train_cfg, val_X=vXs, val_targets=vt)
+        held_scores = (_decision(classifier, _gram_front(G, held, pos, coef, offset))
+                       if held.size else None)
 
     grayscale = kind is FeatureKind.GRAYSCALE
     return PipelineModel(
@@ -490,36 +455,31 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         pca_retained=retained,
         pca_cumulative_variance=cum_variance,
         identity_kernel=identity,
+        held_out=(X, held, held_scores) if held.size else None,
     )
 
 
 def predict_matrix(model: PipelineModel, X: np.ndarray,
-                   rows: np.ndarray | None = None,
-                   gram: np.ndarray | None = None) -> tuple[list[str], np.ndarray]:
+                   rows: np.ndarray | None = None) -> tuple[list[str], np.ndarray]:
     """Labels and decision scores for raw feature rows (pre-PCA space), or
     for the rows of X that the integer indices rows select; X is never
-    written. gram, if given, is the raw_gram(X) the model was fit from;
-    the rows are then scored from their Gram rows, without reading X. Rows
-    of the very X that a VAF-SVM model was fit on are scored from the fit's
-    kernel rows, without reading X either."""
+    written. Rows of the very X that the model was fit on, which the fit
+    scored as held-out rows, are read from those scores; every other row
+    goes through the bundle's front end and classifier."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.n_features:
         raise ValueError(
             f"X has {X.shape[1]} features, the bundle expects {model.n_features}"
         )
     rows = _row_indices(rows)
-    front, clf = model.front, model.classifier
-    if rows is not None and isinstance(front, KernelFront) and front.covers(X, rows):
-        scores = svm.decision_kernel(clf, front.kernel[front.pos[rows]])
-    else:
-        if rows is not None and isinstance(front, GramFront) and front.gram is gram:
-            Z = front.apply(rows)
-        else:
-            Z = _affine(X, front.weight, front.offset, rows)
-        if isinstance(clf, svm.SvmModel):
-            scores = svm.decision_batch(clf, Z)
-        else:
-            scores = ann.forward_batch(clf, Z)
+    scores = None
+    if rows is not None and model.held_out is not None and X is model.held_out[0]:
+        _, held, held_scores = model.held_out
+        at = np.minimum(np.searchsorted(held, rows), held.size - 1)
+        if np.array_equal(held[at], rows):
+            scores = held_scores[at]
+    if scores is None:
+        scores = _decision(model.classifier, _affine(X, model.weight, model.offset, rows))
     return [from_sign(s) for s in scores], scores
 
 

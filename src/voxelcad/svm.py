@@ -20,7 +20,7 @@ feasible interval implied by the bound vectors.
 
 smo solves the dual on a given kernel matrix; solve_dual builds that
 matrix from the training rows first. A caller that already holds the
-kernel, such as VAF-SVM's blocked fit (pipeline.KernelFront), calls smo
+kernel, such as VAF-SVM's blocked fit (pipeline.fit_pipeline), calls smo
 directly and scores rows from their kernel rows with decision_kernel.
 
 Models store only the vectors with a_i > 1e-8, in C order. Their
@@ -154,7 +154,8 @@ class SvmModel:
     def from_dict(cls, d: dict, path: str = "model") -> "SvmModel":
         """Inverse of to_dict; path locates d in the bundle, for error messages."""
         kind = KernelKind(d["kernel"])
-        scale = (KernelSpec.scale if d["scale"] is None
+        # only a linear kernel has no scale
+        scale = (KernelSpec.scale if kind is KernelKind.LINEAR and d["scale"] is None
                  else number_field(d["scale"], f"{path}.scale"))
         return cls(
             support_vectors=array_field(d["support_vectors"], f"{path}.support_vectors", (2,)),

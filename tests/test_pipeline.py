@@ -9,7 +9,7 @@ import pytest
 from oracles import map_back
 from voxelcad.ann import AnnModel, forward_batch
 from voxelcad.evaluation import _fold_seed, stratified_split
-from voxelcad.features import FeatureKind
+from voxelcad.features import FeatureKind, build_feature_matrix
 from voxelcad.labels import from_sign, to_sign
 from voxelcad.manifest import read_manifest
 from voxelcad.pca import (_fix_signs, center, contribution_rates, fit_pca, project,
@@ -168,12 +168,31 @@ def test_bundle_round_trip_preserves_predictions(tmp_path, small_grayscale,
         assert not set(d["classifier"]["model"]) & {"standardization", "version"}
 
 
-@pytest.mark.parametrize("pid, prescale", [("PCA-SVM", False), ("PCA-ANN", False),
-                                           ("VAF-SVM", False), ("PCA-SVM", True)])
-def test_composed_front_end_matches_the_staged_one(pid, prescale, small_grayscale,
-                                                   small_vaf, small_runconfig):
+@pytest.fixture(scope="module")
+def one_block_grayscale(small_dataset):
+    """The small cohort's grayscale features on a 1x1x1 block grid: 6
+    features for 20 subjects, so PCA has fewer features than rows."""
+    return build_feature_matrix(small_dataset[0], FeatureKind.GRAYSCALE, (1, 1, 1))
+
+
+_STAGED = [("PCA-SVM", False, False), ("PCA-ANN", False, False),
+           ("VAF-SVM", False, False), ("PCA-SVM", True, False)] + [
+    (pid, prescale, True) for pid in ("PCA-SVM", "PCA-ANN") for prescale in (False, True)]
+
+
+@pytest.mark.parametrize("pid, prescale, one_block", _STAGED,
+                         ids=[f"{p}-{s}" + ("-grid1x1x1" if b else "") for p, s, b in _STAGED])
+def test_composed_front_end_matches_the_staged_one(pid, prescale, one_block, small_grayscale,
+                                                   one_block_grayscale, small_vaf,
+                                                   small_runconfig):
+    # on the 1x1x1 grid the staged reference takes fit_pca's direct route,
+    # while the fit takes the Gram route as on every shape
     cfg = dataclasses.replace(small_runconfig, pca_prescale=prescale)
     fm = small_vaf if pid == "VAF-SVM" else small_grayscale
+    if one_block:
+        cfg = dataclasses.replace(cfg, block_grid=(1, 1, 1))
+        fm = one_block_grayscale
+        assert fm.values.shape == (20, 6)
     model = _fit(pid, fm, cfg)
     X = fm.values
     if pid != "VAF-SVM":
@@ -212,8 +231,9 @@ def test_fold_front_ends_from_the_cohort_gram_match_a_staged_reference(
     cfg = dataclasses.replace(small_runconfig, feature_kind=kind)
     fm = small_vaf if kind == "vaf" else small_grayscale
     X, labels = fm.values, np.asarray(fm.labels, dtype=object)
+    y = np.array([to_sign(l) for l in labels])
     G = raw_gram(X)
-    for sp in stratified_split(labels, cfg.folds, cfg.val_fraction, cfg.seed):
+    for i, sp in enumerate(stratified_split(labels, cfg.folds, cfg.val_fraction, cfg.seed)):
         n = sp.train.size
         Xc, means = center(X, sp.train)
         lam, U = np.linalg.eigh(Xc @ Xc.T / (n - 1))
@@ -222,18 +242,27 @@ def test_fold_front_ends_from_the_cohort_gram_match_a_staged_reference(
         V = map_back(Xc, U[:, :k] / np.sqrt((n - 1) * lam[:k]))
         train_scores = Xc @ V
         V *= _fix_signs(train_scores)
+        mu, sd = train_scores.mean(axis=0), train_scores.std(axis=0, ddof=1)
+        want = {name: ((X[r] - means) @ V - mu) / sd
+                for name, r in (("val", sp.val), ("test", sp.test))}
+        # training rows, through the PCA fit's scores
         pca = fit_pca(X, cfg.pca_threshold, rows=sp.train, gram=G[np.ix_(sp.train, sp.train)])
         assert pca.retained == k
         assert np.max(np.abs(pca.scores - train_scores)) <= 1e-9 * np.max(np.abs(train_scores))
+        # validation rows, through the SSE that early stopping kept
+        ann_model = fit_pipeline("PCA-ANN", X, labels, cfg,
+                                 ann_seed=_fold_seed(cfg.seed, "PCA-ANN", i),
+                                 rows=sp.train, val_rows=sp.val, gram=G)
+        history = ann_model.classifier.history
+        sse = float(np.sum((forward_batch(ann_model.classifier, want["val"]) - y[sp.val]) ** 2))
+        assert abs(sse - history["val_sse"][history["early_stop_epoch"]]) <= 1e-9 * sse
+        # test rows, through the scores that the fit gave them
         model = fit_pipeline("PCA-SVM", X, labels, cfg, rows=sp.train, val_rows=sp.val,
                              gram=G)
-        mu, sd = train_scores.mean(axis=0), train_scores.std(axis=0, ddof=1)
-        for rows in (sp.train, sp.val, sp.test):
-            want = ((X[rows] - means) @ V - mu) / sd
-            got = model.front.apply(rows)
-            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
-        labels_gram, _ = predict_matrix(model, X, rows=sp.test, gram=G)
-        assert labels_gram == predict_matrix(model, X, rows=sp.test)[0]
+        labels_fit, got = predict_matrix(model, X, rows=sp.test)
+        ref = decision_batch(model.classifier, want["test"])
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert labels_fit == predict_matrix(model, X[sp.test])[0]
 
 
 def _digest(model) -> str:
@@ -279,6 +308,7 @@ _MISTYPED = [
     ("PCA-SVM", "C", None, "must be a finite number"),
     ("PCA-SVM", "C", [1], "must be a finite number"),
     ("PCA-SVM", "scale", "x", "must be a finite number"),
+    ("PCA-SVM", "scale", None, "must be a finite number"),
     ("PCA-SVM", "alphas", 7, "must be a numeric array of rank 1"),
     ("PCA-SVM", "alphas", [None], "must be a numeric array of rank 1"),
     ("PCA-SVM", "support_vectors", [[1.0], [1.0, 2.0]], "must be a numeric array of rank 2"),
@@ -352,6 +382,30 @@ def test_a_vaf_fold_fit_matches_the_staged_fit_on_a_kernel_that_is_not_the_ident
         got_labels, got = predict_matrix(model, X, rows=sp.test)
         assert got_labels == [from_sign(s) for s in want]
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("pid", PIPELINES)
+def test_only_the_rows_that_a_fit_scored_skip_the_bundle_path(pid, small_grayscale, small_vaf,
+                                                              small_runconfig):
+    # a fold fit with the cohort Gram scores its test rows itself, and
+    # predict_matrix reads them back; training and validation rows of the
+    # same X take the bundle path, as rows of any other matrix do
+    fm = small_vaf if pid == "VAF-SVM" else small_grayscale
+    X, labels = fm.values, np.asarray(fm.labels, dtype=object)
+    cfg = dataclasses.replace(small_runconfig, kernel_scale=_median_scale(X))
+    sp = stratified_split(labels, 4, 0.10, seed=0)[1]
+    model = fit_pipeline(pid, X, labels, cfg, ann_seed=2, rows=sp.train, val_rows=sp.val,
+                         gram=raw_gram(X))
+    assert np.array_equal(model.held_out[1], sp.test)
+    for rows in (sp.train, sp.val):
+        labels_a, scores_a = predict_matrix(model, X, rows=rows)
+        labels_b, scores_b = predict_matrix(model, X[rows])
+        assert labels_a == labels_b
+        assert np.array_equal(scores_a, scores_b)
+    labels_a, scores_a = predict_matrix(model, X, rows=sp.test)
+    labels_b, scores_b = predict_matrix(model, X[sp.test])
+    assert labels_a == labels_b
+    assert np.max(np.abs(scores_a - scores_b)) <= 1e-9 * np.max(np.abs(scores_b))
 
 
 def _fold(fm):
