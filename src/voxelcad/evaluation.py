@@ -12,17 +12,15 @@ cross_validate hands fit_pipeline the whole feature matrix and the fold's
 training and validation row indices, and predict_matrix the test rows'
 indices. For the PCA pipelines it also builds one raw Gram X X^T per
 feature matrix (pca.raw_gram, without pca_prescale) and passes it to every
-fold's fit: each fold's PCA fit, and its validation rows, are read from
-that n x n matrix, so no fold gathers, centres or multiplies the m-wide
-rows. Its entry (i, j) depends on rows i and j only, so the fits stay
-independent of the test rows. VAF-SVM fits each fold in one blocked pass
-over X that also forms its test rows' kernel rows. Each fit that has read
-its fold's test rows (VAF-SVM, and the PCA pipelines given the Gram)
-scores them itself, and predict_matrix reads those scores back. So a
+fold's fit: each fold's PCA fit, and its validation and test rows, are
+read from that n x n matrix, so no fold gathers, centres or multiplies the
+m-wide rows. Its entry (i, j) depends on rows i and j only, so the fits
+stay independent of the test rows. VAF-SVM, and with pca_prescale the PCA
+pipelines, fit each fold in one blocked pass over X whose training-row
+products do not depend on the test rows either. Every fit scores its
+fold's test rows itself, and predict_matrix reads those scores back. So a
 fold's train_time_s includes its test-row scoring, and
-prediction_obs_per_s times only the reading of the scores; with
-pca_prescale the PCA fits read no test rows, and predict_matrix scores
-them through the bundle's front end.
+prediction_obs_per_s times only the reading of the scores.
 
 Each PCA fold reports the components it kept and the share of the
 training variance they explain; each PCA-ANN fold reports the

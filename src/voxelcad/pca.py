@@ -40,7 +40,7 @@ import numpy as np
 
 _EIG_NEG_TOL = 1e-9     # tolerated negative round-off, relative to max |eigenvalue|
 _THRESHOLD_SLACK = 1e-12  # select_components cumulative-sum slack
-_BLOCK_COLS = 1024      # column block of raw_gram and map_back
+_BLOCK_COLS = 1024      # width of a column_blocks block
 
 
 class PcaModel:
@@ -52,9 +52,9 @@ class PcaModel:
     non-increasing. scores, when set by fit_pca, holds project(model,
     X_train) for the rows the model was fit on (n x retained).
 
-    A Gram-route fit passes basis=(X, rows, scale) and coef (n x r) in
-    place of means and components, which map_back then forms on first
-    read; origin is project(model, 0), the scores of the zero row.
+    A Gram-route fit passes basis=(X, rows) and coef (n x r) in place of
+    means and components, which map_back then forms on first read; origin
+    is project(model, 0), the scores of the zero row.
     """
 
     def __init__(self, eigenvalues, retained: int, contribution, means=None,
@@ -85,9 +85,7 @@ class PcaModel:
 
     @cached_property
     def components(self) -> np.ndarray:
-        X, rows, scale = self._basis
-        components, means = map_back(X, rows, self.coef, scale)
-        self.__dict__["means"] = means if scale is None else means * scale
+        components, self.__dict__["means"] = map_back(*self._basis, self.coef)
         return components
 
     @cached_property
@@ -108,19 +106,16 @@ def column_blocks(X: np.ndarray, rows: np.ndarray | None = None):
         yield a, b, (X[:, a:b] if rows is None else X[rows, a:b])
 
 
-def raw_gram(X: np.ndarray, rows: np.ndarray | None = None,
-             scale: np.ndarray | None = None) -> np.ndarray:
+def raw_gram(X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Raw Gram X X^T of the rows of X, or of those that the integer indices
-    rows select, in that order; with scale, of X diag(scale). No mean is
-    subtracted, so entry (i, j) depends on rows i and j only. Built one
-    column block at a time: no copy of the rows is made beyond one block,
-    and the result is exactly symmetric."""
+    rows select, in that order. No mean is subtracted, so entry (i, j)
+    depends on rows i and j only. Built one column block at a time: no copy
+    of the rows is made beyond one block, and the result is exactly
+    symmetric."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0] if rows is None else len(rows)
     G = np.zeros((n, n))
-    for a, b, Xb in column_blocks(X, rows):
-        if scale is not None:
-            Xb = Xb * scale[a:b]
+    for _, _, Xb in column_blocks(X, rows):
         G += Xb @ Xb.T
     return np.triu(G) + np.triu(G, 1).T
 
@@ -239,16 +234,15 @@ def select_components(rates, cum_threshold: float) -> int:
 
 
 def fit_pca(X, cum_threshold: float = 0.95, method: str = "auto",
-            rows: np.ndarray | None = None, scale: np.ndarray | None = None,
+            rows: np.ndarray | None = None,
             gram: np.ndarray | None = None) -> PcaModel:
     """Fit a PCA model on the rows of X (ndarray or FeatureMatrix), or on
-    the rows that the integer indices rows select; with scale, on those rows
-    times diag(scale).
+    the rows that the integer indices rows select.
 
     method: "direct" eigendecomposes the m x m covariance, "gram" the n x n
     centred Gram matrix (exact for the nonzero spectrum), "auto" picks gram
-    when m > n. gram, if given, is raw_gram(X, rows, scale), which the Gram
-    route then reads instead of building it.
+    when m > n. gram, if given, is raw_gram(X, rows), which the Gram route
+    then reads instead of building it.
     """
     X = np.asarray(getattr(X, "values", X), dtype=np.float64)
     if X.ndim != 2:
@@ -260,12 +254,8 @@ def fit_pca(X, cum_threshold: float = 0.95, method: str = "auto",
     if n < 2:
         raise ValueError("fit_pca needs n >= 2 samples")
     if m > n if method == "auto" else method == "gram":
-        return _fit_gram(X, rows, scale, cum_threshold,
-                         raw_gram(X, rows, scale) if gram is None else gram)
+        return _fit_gram(X, rows, cum_threshold, raw_gram(X, rows) if gram is None else gram)
     Xc, means = center(X, rows)
-    if scale is not None:
-        Xc *= scale
-        means = means * scale
     P = covariance(Xc)
     # identical rows leave round-off residue, not exact zeros; treat variance
     # at that level as a zero spectrum instead of normalizing noise. bound
@@ -286,7 +276,7 @@ def fit_pca(X, cum_threshold: float = 0.95, method: str = "auto",
                     scores=scores[:, :retained])
 
 
-def _fit_gram(X, rows, scale, cum_threshold, G) -> PcaModel:
+def _fit_gram(X, rows, cum_threshold, G) -> PcaModel:
     """The Gram route of fit_pca, from the raw Gram G of the fitted rows."""
     n, m = G.shape[0], X.shape[1]
     r = G.mean(axis=0)
@@ -312,7 +302,7 @@ def _fit_gram(X, rows, scale, cum_threshold, G) -> PcaModel:
     retained = select_components(rates, cum_threshold)
     return PcaModel(eigenvalues=eigenvalues, retained=retained, contribution=rates,
                     scores=U[:, :retained] * norms[:retained], coef=coef,
-                    origin=(r.mean() - r) @ coef, basis=(X, rows, scale))
+                    origin=(r.mean() - r) @ coef, basis=(X, rows))
 
 
 def project(model: PcaModel, X: np.ndarray, n_components: int | None = None) -> np.ndarray:

@@ -13,33 +13,28 @@ map, so the bundle stores only its composition, x -> x W + b with W of
 shape m x k for the PCA pipelines and a per-feature scale w (x * w + b)
 for VAF-SVM, and prediction applies it in a single step.
 
-Every PCA fit takes pca.fit_pca's Gram route, which is exact for any shape
-(kernel PCA with a linear kernel), from a raw Gram matrix (pca.raw_gram):
-the one cross-validation builds once over every row of X and passes as
-gram, or else one the fit builds over its training and validation rows
-(with pca_prescale, of X diag(1/sigma), sigma from the training rows). No
-fit gathers, centres or multiplies the m-wide rows: the validation rows go
-through the composed map in n-space, from their Gram rows. W is mapped back
-from the training rows only when read, to write a bundle or to score rows
-that the fit did not.
+A fit reads the m-wide rows of X at most once. Every PCA fit takes
+pca.fit_pca's Gram route, which is exact for any shape (kernel PCA with a
+linear kernel), and VAF-SVM needs only the kernel of its z-scored rows; so
+both need only inner products of the rows. A fit reads them from the raw
+Gram that cross-validation builds once over every row of X (pca.raw_gram)
+and passes as gram, or else from one blocked pass over X (_row_products).
+The pass gathers one pca.column_blocks block at a time, training rows
+first, transforms it in place as the fit needs (not at all for PCA, times
+1/sigma with pca_prescale, to (x - mu) / sigma for VAF-SVM, mu and sigma
+from the training rows), and sums only the products with the training
+rows and the other rows' squared norms. VAF-SVM skips the validation rows,
+which SVM training ignores. No fit keeps a copy of the rows: PCA's W is
+mapped back from the training rows, and VAF-SVM's scale, offset and
+z-scored support vectors are formed from X, only when read, to write a
+bundle or to score rows that the fit did not.
 
-VAF-SVM makes no copy of its rows either. One pass over X, one
-pca.column_blocks block at a time, takes each block's means and sigmas from
-the training rows (standardize on the block), z-scores the gathered block
-in place, training rows first, and sums only small products: the training
-rows' Gram Z_t Z_t^T and the held-out rows' Z_r Z_t^T. Validation rows,
-which SVM training ignores, are not read. SMO's training kernel and the
-kernel rows of the held-out rows come from those sums. The bundle's scale
-and offset and the z-scored support vectors are formed from X only when
-read.
-
-So every fit ends its n-space work itself: the rows of X that are neither
-training nor validation rows, when the fit has read them (VAF-SVM always,
-the PCA pipelines when given gram), are scored inside the fit in one batch,
-in ascending row order, and the model keeps their scores (held_out). For a
-cross-validation fold those are its test rows. predict_matrix reads rows
-of the fit's own X from those scores, and sends every other row through the
-bundle's one front end, AffineFront.
+So every fit ends its n-space work itself: it scores the rows of X that
+are neither training nor validation rows, the held-out rows, inside the
+fit in one batch, in ascending row order, and the model keeps their scores
+(held_out). For a cross-validation fold those are its test rows.
+predict_matrix reads rows of the fit's own X from those scores, and sends
+every other row through the bundle's one front end, AffineFront.
 
 No stage writes into the caller's X, and a fit that refers to X needs it
 unchanged until its model is dropped. predict_matrix takes the same rows
@@ -60,7 +55,7 @@ from .bundlefields import array_field, object_field
 from .config import RunConfig
 from .features import FeatureKind, block_features, check_recipe, vaf_features
 from .labels import from_sign, to_sign
-from .pca import center, column_blocks, fit_pca, map_back, raw_gram
+from .pca import center, column_blocks, fit_pca, map_back
 from .pca import project  # not called here; perfbench/tracing.py wraps this name
 from .volume import Volume
 
@@ -285,44 +280,47 @@ def _affine(X: np.ndarray, W: np.ndarray, offset: np.ndarray,
     return Z
 
 
-def _prescale(X: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    """pca_prescale's column factors 1/sigma, sigma as standardize gives it
-    on the training rows, read one column block at a time."""
-    return 1.0 / np.concatenate([standardize(Xb)[2] for _, _, Xb in column_blocks(X, rows)])
+def _row_products(X: np.ndarray, train: np.ndarray, others: np.ndarray,
+                  transform: str | None = None):
+    """One pass over the columns of X for a fit: (G, norms, means, sigmas).
 
-
-def _kernel_rows(X: np.ndarray, train: np.ndarray, held: np.ndarray,
-                 kernel: svm.KernelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """VAF-SVM's pass over X: (means, sigmas, K).
-
-    means and sigmas are standardize's on the training rows (the rows of X
-    that the integer indices train select), and z(x) = (x - means) /
-    sigmas. K holds k(z(x), z_j) over the training rows j for the training
-    rows, then for the rows held. Each column block is gathered in that
-    order and z-scored in place (times 1/sigmas, so K may differ from a
-    kernel of standardize's rows in the last bits), and only the inner
-    products with the z-scored training rows and the held rows' squared
-    norms are summed."""
-    m = X.shape[1]
-    t = train.size
-    order = np.concatenate([train, held])
-    means, sigmas = np.empty(m), np.empty(m)
+    The rows of X that the integer indices train select, then those that
+    others select, are gathered one pca.column_blocks block at a time and
+    transformed in place column by column: not at all (transform None),
+    times 1/sigmas ("scale"), or to (x - means) / sigmas ("zscore"), where
+    means and sigmas are standardize's on the training rows, bit for bit
+    (the product with 1/sigmas may differ from standardize's quotient in
+    the last bits). With z the transformed rows, G[i, j] = z_i . z_j over
+    every gathered row i and training row j, and norms[i] = z_i . z_i. The
+    training rows' G is summed as its own product (numpy's syrk, so exactly
+    symmetric), and does not depend on the other rows. means and sigmas
+    are None where the transform does not use them, so the plain pass
+    allocates nothing m-wide."""
+    m, t = X.shape[1], train.size
+    order = np.concatenate([train, others])
+    sigmas = None if transform is None else np.empty(m)
+    means = np.empty(m) if transform == "zscore" else None
     G = np.zeros((order.size, t))
     norms = np.zeros(order.size)
     for a, b, Xb in column_blocks(X, order):
-        # the means and sigmas bit for bit as standardize gives them on the
-        # training rows; the gathered block is scaled in place
-        mu = means[a:b] = Xb[:t].mean(axis=0)
-        Xb -= mu
-        sd = sigmas[a:b] = _sigmas(Xb[:t])
-        Xb *= 1.0 / sd
-        Zt, Zr = Xb[:t], Xb[t:]
-        G[:t] += Zt @ Zt.T          # numpy's syrk, so exactly symmetric
-        G[t:] += Zr @ Zt.T
-        norms[t:] += np.einsum("ij,ij->i", Zr, Zr)
+        if transform is not None:
+            mu = Xb[:t].mean(axis=0)
+            if means is None:
+                sd = _sigmas(Xb[:t] - mu)
+            else:
+                means[a:b] = mu
+                Xb -= mu
+                sd = _sigmas(Xb[:t])
+            sigmas[a:b] = sd
+            Xb *= 1.0 / sd
+        # only Xb refers to the block, so it is freed once the next one
+        # is gathered
+        G[:t] += Xb[:t] @ Xb[:t].T
+        G[t:] += Xb[t:] @ Xb[:t].T
+        norms[t:] += np.einsum("ij,ij->i", Xb[t:], Xb[t:])
     # the training norms are the Gram's diagonal, so every k(z, z) is exact
     norms[:t] = G.diagonal()
-    return means, sigmas, svm.kernel_values(kernel, G, norms, norms[:t])
+    return G, norms, means, sigmas
 
 
 def _zscored(X: np.ndarray, rows: np.ndarray, means: np.ndarray,
@@ -335,13 +333,11 @@ def _zscored(X: np.ndarray, rows: np.ndarray, means: np.ndarray,
     return Z
 
 
-def _gram_front(G: np.ndarray, rows: np.ndarray, pos: np.ndarray, coef: np.ndarray,
-                offset: np.ndarray) -> np.ndarray:
-    """A Gram-route PCA fit's x W + b in n-space, for the rows at the
-    positions rows of the raw Gram G: with g a row's raw Gram row over the
-    training rows (at the positions pos), x W + b = (g - mean(g)) coef + b."""
-    C = G[np.ix_(rows, pos)]
-    C -= C.mean(axis=1, keepdims=True)
+def _gram_front(G: np.ndarray, coef: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """A Gram-route PCA fit's x W + b in n-space, for the rows whose raw
+    Gram rows over the training rows are the rows of G: with g such a row,
+    x W + b = (g - mean(g)) coef + b."""
+    C = G - G.mean(axis=1, keepdims=True)
     Z = C @ coef
     Z += offset
     return Z
@@ -368,12 +364,12 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     they drive ANN early stopping only, through the composed front end like
     test rows; SVM training ignores them. gram, if given, is raw_gram(X),
     the raw Gram of every row of X; the PCA pipelines read it in place of
-    building their own (ignored with pca_prescale). X itself is never
+    their own pass over X (ignored with pca_prescale). X itself is never
     written.
 
-    The fit scores the other rows of X, the held-out rows, whenever it has
-    read them: VAF-SVM always, the PCA pipelines when they read gram. The
-    model keeps those scores as held_out, and predict_matrix reads them.
+    The fit scores the other rows of X, the held-out rows, from the inner
+    products it has read. The model keeps those scores as held_out, and
+    predict_matrix reads them.
     """
     pid = canonical_pipeline(pipeline)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -393,7 +389,8 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
 
     if pid == "VAF-SVM":
         kernel = cfg.kernel_spec()
-        means, sigmas, K = _kernel_rows(X, train, held, kernel)
+        G, norms, means, sigmas = _row_products(X, train, held, "zscore")
+        K = svm.kernel_values(kernel, G, norms, norms[:train.size])
         K_train = K[:train.size]
         alpha, bias = svm.smo(K_train, targets, cfg.C, cfg.svm_tol)
         identity = bool(np.array_equal(K_train, np.eye(train.size)))
@@ -405,28 +402,28 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
                                   kernel=kernel, C=cfg.C)
         held_scores = svm.decision_kernel(classifier, K[train.size:, keep])
     else:
-        scale = _prescale(X, rows) if cfg.pca_prescale else None
+        # G: the raw Gram rows, over the training rows, of the training
+        # rows, then of the validation rows (up to v), then of the held-out rows
         n = train.size
-        if gram is None or scale is not None:
-            # the raw Gram of the rows this fit reads: training rows first,
-            # then validation rows; the held-out rows are not read
-            fit_rows = rows if val_rows is None else np.concatenate([train, val_rows])
-            G = raw_gram(X, fit_rows, scale)
-            pos, val_pos, held = np.arange(n), np.arange(n, G.shape[0]), held[:0]
-            Gtt = G[:n, :n]
+        v = n if val_rows is None else n + val_rows.size
+        others = held if val_rows is None else np.concatenate([val_rows, held])
+        if gram is None or cfg.pca_prescale:
+            G, _, _, sd = _row_products(X, train, others,
+                                        "scale" if cfg.pca_prescale else None)
         else:
-            G, pos, val_pos = gram, train, val_rows
-            Gtt = G if rows is None else G[np.ix_(rows, rows)]
+            G, sd = gram[np.ix_(np.concatenate([train, others]), train)], None
+        # with pca_prescale, G is the Gram of the scaled rows, which the
+        # model's components (never read here) do not describe
         pca_model = fit_pca(X, cum_threshold=cfg.pca_threshold, method="gram", rows=rows,
-                            scale=scale, gram=Gtt)
+                            gram=G[:n])
         retained = pca_model.retained
         cum_variance = float(np.cumsum(pca_model.contribution)[retained - 1])
         Xs, means, sigmas = standardize(pca_model.scores)
         offset = (pca_model.origin[:retained] - means) / sigmas
         coef = pca_model.coef[:, :retained] / sigmas
         del pca_model
-        # W = diag(scale^2) (X[train] - means)^T coef, mapped back when read
-        sq = None if scale is None else scale * scale
+        # W = diag(1/sd^2) (X[train] - means)^T coef, mapped back when read
+        sq = None if sd is None else (1.0 / sd) ** 2
         front = AffineFront(X.shape[1], lambda: (map_back(X, rows, coef, sq)[0], offset))
 
         if pid == "PCA-SVM":
@@ -435,13 +432,11 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         else:
             vXs = vt = None
             if val_rows is not None:
-                # the validation rows in their own product, apart from the
-                # held-out rows
-                vXs = _gram_front(G, val_pos, pos, coef, offset)
+                vXs = _gram_front(G[n:v], coef, offset)
                 vt = signs[val_rows]
             train_cfg = cfg.train_config(seed=ann_seed)
             classifier = ann.train_ann(Xs, targets, train_cfg, val_X=vXs, val_targets=vt)
-        held_scores = (_decision(classifier, _gram_front(G, held, pos, coef, offset))
+        held_scores = (_decision(classifier, _gram_front(G[v:], coef, offset))
                        if held.size else None)
 
     grayscale = kind is FeatureKind.GRAYSCALE

@@ -384,18 +384,26 @@ def test_a_vaf_fold_fit_matches_the_staged_fit_on_a_kernel_that_is_not_the_ident
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("pid", PIPELINES)
-def test_only_the_rows_that_a_fit_scored_skip_the_bundle_path(pid, small_grayscale, small_vaf,
+_SCORED = [pytest.param(pid, False, True, id=pid) for pid in PIPELINES] + [
+    pytest.param(pid, prescale, False, id=f"{pid}-prescale{int(prescale)}-own-pass")
+    for pid in ("PCA-SVM", "PCA-ANN") for prescale in (False, True)]
+
+
+@pytest.mark.parametrize("pid, prescale, cohort_gram", _SCORED)
+def test_only_the_rows_that_a_fit_scored_skip_the_bundle_path(pid, prescale, cohort_gram,
+                                                              small_grayscale, small_vaf,
                                                               small_runconfig):
-    # a fold fit with the cohort Gram scores its test rows itself, and
-    # predict_matrix reads them back; training and validation rows of the
-    # same X take the bundle path, as rows of any other matrix do
+    # a fold fit scores its test rows itself, whether it reads the cohort
+    # Gram or makes its own pass over X, and predict_matrix reads them
+    # back; training and validation rows of the same X take the bundle
+    # path, as rows of any other matrix do
     fm = small_vaf if pid == "VAF-SVM" else small_grayscale
     X, labels = fm.values, np.asarray(fm.labels, dtype=object)
-    cfg = dataclasses.replace(small_runconfig, kernel_scale=_median_scale(X))
+    cfg = dataclasses.replace(small_runconfig, kernel_scale=_median_scale(X),
+                              pca_prescale=prescale)
     sp = stratified_split(labels, 4, 0.10, seed=0)[1]
     model = fit_pipeline(pid, X, labels, cfg, ann_seed=2, rows=sp.train, val_rows=sp.val,
-                         gram=raw_gram(X))
+                         gram=raw_gram(X) if cohort_gram else None)
     assert np.array_equal(model.held_out[1], sp.test)
     for rows in (sp.train, sp.val):
         labels_a, scores_a = predict_matrix(model, X, rows=rows)
