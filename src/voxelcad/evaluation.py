@@ -20,7 +20,9 @@ pipelines, fit each fold in one blocked pass over X whose training-row
 products do not depend on the test rows either. Every fit scores its
 fold's test rows itself, and predict_matrix reads those scores back. So a
 fold's train_time_s includes its test-row scoring, and
-prediction_obs_per_s times only the reading of the scores.
+prediction_obs_per_s divides the test rows by the time the fits spent
+scoring them from the inner products they had read (the pass that read
+those counts as fit time).
 
 Each PCA fold reports the components it kept and the share of the
 training variance they explain; each PCA-ANN fold reports the
@@ -348,9 +350,9 @@ def cross_validate(manifest_path, pipelines, cfg: RunConfig) -> list[EvalReport]
                 pca_retained = model.pca_retained
                 pca_variance = model.pca_cumulative_variance
                 identity = model.identity_kernel
-                t0 = time.perf_counter()
                 predicted, _ = predict_matrix(model, X, rows=sp.test)
-                pred_time += time.perf_counter() - t0
+                # the test rows are the fit's held-out rows, which it scored
+                pred_time += model.held_out[3]
                 # drop the fold's model now; on VAF features its m-wide
                 # arrays would otherwise stay live through the next fit
                 del model

@@ -45,11 +45,13 @@ import numpy as np
 
 from .labels import VALID_LABELS
 from .manifest import read_manifest
-from .volume import Volume, flatten, load_volume
+from .pca import feature_rows
+from .volume import Volume, load_volume
 
 STAT_NAMES = ("mean", "variance", "skewness", "kurtosis", "energy", "entropy")
 DEFAULT_BINS = 32
 DEFAULT_BLOCK_GRID = (4, 4, 4)
+_FINITE_CHECK_CELLS = 1 << 16   # cells per row chunk of the finite check
 
 
 class FeatureKind(enum.Enum):
@@ -59,7 +61,13 @@ class FeatureKind(enum.Enum):
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """n samples x m features with labels, in manifest order."""
+    """n samples x m features with labels, in manifest order.
+
+    values are float32 for voxels as features (the volumes' own type;
+    float32 -> float64 is exact, and every reader of the rows upcasts one
+    reused column block at a time, pca.column_blocks) and float64 for
+    anything else, grayscale statistics included.
+    """
 
     values: np.ndarray
     labels: tuple[str, ...]
@@ -68,11 +76,14 @@ class FeatureMatrix:
     block_grid: tuple[int, int, int] | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = feature_rows(self.values)
         if values.ndim != 2:
             raise ValueError("values must be a 2-D array")
-        if not np.isfinite(values).all():
-            raise ValueError("feature values must all be finite")
+        # in row chunks, so no n x m bool array is made
+        step = max(1, _FINITE_CHECK_CELLS // max(values.shape[1], 1))
+        for a in range(0, values.shape[0], step):
+            if not np.isfinite(values[a:a + step]).all():
+                raise ValueError("feature values must all be finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "subject_ids", tuple(self.subject_ids))
@@ -211,8 +222,9 @@ def block_features(v: Volume, block_grid: tuple[int, int, int] = DEFAULT_BLOCK_G
 
 
 def vaf_features(v: Volume) -> np.ndarray:
-    """Raw voxels-as-features baseline: identical to flatten(v)."""
-    return flatten(v)
+    """Raw voxels-as-features baseline: the volume's own read-only float32
+    voxels, equal in value to flatten(v) (float32 -> float64 is exact)."""
+    return v.voxels
 
 
 def build_feature_matrix(manifest_path, kind: FeatureKind,
@@ -220,7 +232,8 @@ def build_feature_matrix(manifest_path, kind: FeatureKind,
                          bins: int = DEFAULT_BINS) -> FeatureMatrix:
     """Extract one feature row per manifest row, preserving manifest order.
 
-    All referenced volumes must share the same dims.
+    All referenced volumes must share the same dims. The matrix takes the
+    rows' own type: float32 for VAF, float64 for grayscale statistics.
     """
     rows = read_manifest(manifest_path)
     values = None
@@ -240,7 +253,7 @@ def build_feature_matrix(manifest_path, kind: FeatureKind,
         else:
             feats = block_features(vol, block_grid, bins)
         if values is None:
-            values = np.empty((len(rows), feats.size))
+            values = np.empty((len(rows), feats.size), dtype=feats.dtype)
         values[i] = feats
         labels.append(row.label)
         subject_ids.append(row.subject_id)

@@ -94,25 +94,50 @@ class PcaModel:
         return self.__dict__["means"]
 
 
+def feature_rows(X) -> np.ndarray:
+    """X as an array of feature rows: float32 rows (voxels as features, in
+    the volumes' own type) pass through uncopied, for column_blocks to
+    upcast one block at a time; any other input becomes float64."""
+    X = np.asarray(X)
+    return X if X.dtype == np.float32 else X.astype(np.float64, copy=False)
+
+
 def column_blocks(X: np.ndarray, rows: np.ndarray | None = None):
     """Yield (a, b, block): columns [a, b) of X, or of the rows that the
-    integer indices rows select (then a gathered copy of that block only).
-    Blocks are _BLOCK_COLS wide and the last takes the remainder, so no
-    block is narrower: a narrow product could fall to another BLAS kernel,
-    which sums in another order."""
+    integer indices rows select, as a float64 (n, b - a) array. Blocks are
+    _BLOCK_COLS wide and the last takes the remainder, so no block is
+    narrower: a narrow product could fall to another BLAS kernel, which
+    sums in another order.
+
+    A float64 X yields views of X (rows None, not to be written) or a
+    gathered copy of each block. Any other X (float32 rows) is upcast into
+    one buffer, allocated once per call, and every block is a C-contiguous
+    view of it, so a yielded block is overwritten by the next one: use it
+    within its iteration. float32 -> float64 is exact, so the blocks hold
+    the same values either way."""
     m = X.shape[1]
     starts = list(range(0, max(m - _BLOCK_COLS, 0) + 1, _BLOCK_COLS))
-    for a, b in zip(starts, starts[1:] + [m]):
-        yield a, b, (X[:, a:b] if rows is None else X[rows, a:b])
+    bounds = list(zip(starts, starts[1:] + [m]))
+    if X.dtype == np.float64:
+        for a, b in bounds:
+            yield a, b, (X[:, a:b] if rows is None else X[rows, a:b])
+        return
+    n = X.shape[0] if rows is None else len(rows)
+    buf = np.empty(n * max(b - a for a, b in bounds))
+    for a, b in bounds:
+        # a contiguous view: a strided one slows every product on it
+        block = buf[:n * (b - a)].reshape(n, b - a)
+        block[...] = X[:, a:b] if rows is None else X[rows, a:b]
+        yield a, b, block
 
 
 def raw_gram(X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Raw Gram X X^T of the rows of X, or of those that the integer indices
     rows select, in that order. No mean is subtracted, so entry (i, j)
     depends on rows i and j only. Built one column block at a time: no copy
-    of the rows is made beyond one block, and the result is exactly
-    symmetric."""
-    X = np.asarray(X, dtype=np.float64)
+    of the rows is made beyond one block (float32 rows are upcast one
+    reused block at a time), and the result is exactly symmetric."""
+    X = feature_rows(X)
     n = X.shape[0] if rows is None else len(rows)
     G = np.zeros((n, n))
     for _, _, Xb in column_blocks(X, rows):
@@ -244,7 +269,7 @@ def fit_pca(X, cum_threshold: float = 0.95, method: str = "auto",
     when m > n. gram, if given, is raw_gram(X, rows), which the Gram route
     then reads instead of building it.
     """
-    X = np.asarray(getattr(X, "values", X), dtype=np.float64)
+    X = feature_rows(getattr(X, "values", X))
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
     if method not in ("auto", "direct", "gram"):

@@ -24,15 +24,19 @@ first, transforms it in place as the fit needs (not at all for PCA, times
 1/sigma with pca_prescale, to (x - mu) / sigma for VAF-SVM, mu and sigma
 from the training rows), and sums only the products with the training
 rows and the other rows' squared norms. VAF-SVM skips the validation rows,
-which SVM training ignores. No fit keeps a copy of the rows: PCA's W is
-mapped back from the training rows, and VAF-SVM's scale, offset and
-z-scored support vectors are formed from X, only when read, to write a
-bundle or to score rows that the fit did not.
+which SVM training ignores. VAF rows are float32, the volumes' own type,
+and column_blocks upcasts each gathered block into one reused float64
+buffer, so no fit holds an m-wide float64 copy of them; float32 -> float64
+is exact, so every number is the one float64 rows would give. No fit keeps
+a copy of the rows: PCA's W is mapped back from the training rows, and
+VAF-SVM's scale, offset and z-scored support vectors are formed from X,
+only when read, to write a bundle or to score rows that the fit did not.
 
 So every fit ends its n-space work itself: it scores the rows of X that
 are neither training nor validation rows, the held-out rows, inside the
 fit in one batch, in ascending row order, and the model keeps their scores
-(held_out). For a cross-validation fold those are its test rows.
+(held_out), with the time that scoring took. For a cross-validation fold
+those are its test rows.
 predict_matrix reads rows of the fit's own X from those scores, and sends
 every other row through the bundle's one front end, AffineFront.
 
@@ -45,6 +49,7 @@ once.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,7 +60,7 @@ from .bundlefields import array_field, object_field
 from .config import RunConfig
 from .features import FeatureKind, block_features, check_recipe, vaf_features
 from .labels import from_sign, to_sign
-from .pca import center, column_blocks, fit_pca, map_back
+from .pca import center, column_blocks, feature_rows, fit_pca, map_back
 from .pca import project  # not called here; perfbench/tracing.py wraps this name
 from .volume import Volume
 
@@ -136,9 +141,10 @@ class PipelineModel:
     input; a fit's front forms them only when first read. pca_retained and
     pca_cumulative_variance describe a PCA fit, identity_kernel says
     whether a VAF-SVM fit's training kernel was exactly the identity, and
-    held_out is (X, positions, scores): the decision scores of the rows of
-    the fit's X at the ascending positions, which the fit read and scored
-    although it neither trained nor validated on them. They are None where
+    held_out is (X, positions, scores, seconds): the decision scores of the
+    rows of the fit's X at the ascending positions, which the fit read and
+    scored although it neither trained nor validated on them, and the wall
+    time of that scoring. They are None where
     they do not apply and for loaded bundles, and they are not in the
     bundle.
     """
@@ -152,7 +158,7 @@ class PipelineModel:
     pca_retained: int | None = None
     pca_cumulative_variance: float | None = None
     identity_kernel: bool | None = None
-    held_out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    held_out: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
 
     @property
     def weight(self) -> np.ndarray:
@@ -268,13 +274,23 @@ def _row_indices(rows) -> np.ndarray | None:
     return rows
 
 
+def _gather(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows of X that the integer indices rows select, as a new float64
+    array. Each row is upcast as it is copied, so float32 rows leave no
+    float32 copy of them behind."""
+    Z = np.empty((rows.size, X.shape[1]))
+    for i, r in enumerate(rows):
+        Z[i] = X[r]
+    return Z
+
+
 def _affine(X: np.ndarray, W: np.ndarray, offset: np.ndarray,
             rows: np.ndarray | None) -> np.ndarray:
     """The composed front end, x W + b (x * w + b for VAF-SVM), on the rows
     of X that the integer indices rows select, or on every row; X is never
-    written."""
+    written. The float64 W makes the product float64 for float32 rows."""
     if rows is not None:
-        X = np.take(X, rows, axis=0)
+        X = _gather(X, rows)
     Z = X @ W if W.ndim == 2 else X * W
     Z += offset
     return Z
@@ -325,9 +341,9 @@ def _row_products(X: np.ndarray, train: np.ndarray, others: np.ndarray,
 
 def _zscored(X: np.ndarray, rows: np.ndarray, means: np.ndarray,
              sigmas: np.ndarray) -> np.ndarray:
-    """(X[rows] - means) / sigmas as a C-order array, scaled as standardize
-    scales the training rows."""
-    Z = np.take(X, rows, axis=0)
+    """(X[rows] - means) / sigmas as a C-order float64 array, scaled as
+    standardize scales the training rows."""
+    Z = _gather(X, rows)
     Z -= means
     Z /= sigmas
     return Z
@@ -368,11 +384,11 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     written.
 
     The fit scores the other rows of X, the held-out rows, from the inner
-    products it has read. The model keeps those scores as held_out, and
-    predict_matrix reads them.
+    products it has read. The model keeps those scores, and the time that
+    scoring took, as held_out, and predict_matrix reads them.
     """
     pid = canonical_pipeline(pipeline)
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.atleast_2d(feature_rows(X))
     signs = np.array([to_sign(l) for l in labels], dtype=np.float64)
     if signs.shape[0] != X.shape[0]:
         raise ValueError("labels length does not match X rows")
@@ -400,7 +416,7 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         classifier = svm.SvmModel(support_vectors=lambda: _zscored(X, sv, means, sigmas),
                                   alphas=alpha[keep], labels=targets[keep], bias=bias,
                                   kernel=kernel, C=cfg.C)
-        held_scores = svm.decision_kernel(classifier, K[train.size:, keep])
+        score_held = lambda: svm.decision_kernel(classifier, K[train.size:, keep])
     else:
         # G: the raw Gram rows, over the training rows, of the training
         # rows, then of the validation rows (up to v), then of the held-out rows
@@ -436,8 +452,12 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
                 vt = signs[val_rows]
             train_cfg = cfg.train_config(seed=ann_seed)
             classifier = ann.train_ann(Xs, targets, train_cfg, val_X=vXs, val_targets=vt)
-        held_scores = (_decision(classifier, _gram_front(G[v:], coef, offset))
-                       if held.size else None)
+        score_held = lambda: _decision(classifier, _gram_front(G[v:], coef, offset))
+    held_out = None
+    if held.size:
+        t0 = time.perf_counter()
+        held_scores = score_held()
+        held_out = (X, held, held_scores, time.perf_counter() - t0)
 
     grayscale = kind is FeatureKind.GRAYSCALE
     return PipelineModel(
@@ -450,7 +470,7 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         pca_retained=retained,
         pca_cumulative_variance=cum_variance,
         identity_kernel=identity,
-        held_out=(X, held, held_scores) if held.size else None,
+        held_out=held_out,
     )
 
 
@@ -461,7 +481,7 @@ def predict_matrix(model: PipelineModel, X: np.ndarray,
     written. Rows of the very X that the model was fit on, which the fit
     scored as held-out rows, are read from those scores; every other row
     goes through the bundle's front end and classifier."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.atleast_2d(feature_rows(X))
     if X.shape[1] != model.n_features:
         raise ValueError(
             f"X has {X.shape[1]} features, the bundle expects {model.n_features}"
@@ -469,7 +489,7 @@ def predict_matrix(model: PipelineModel, X: np.ndarray,
     rows = _row_indices(rows)
     scores = None
     if rows is not None and model.held_out is not None and X is model.held_out[0]:
-        _, held, held_scores = model.held_out
+        _, held, held_scores, _ = model.held_out
         at = np.minimum(np.searchsorted(held, rows), held.size - 1)
         if np.array_equal(held[at], rows):
             scores = held_scores[at]

@@ -91,7 +91,9 @@ class Volume:
 
 
 def flatten(v: Volume) -> np.ndarray:
-    """Flatten a volume to a float64 vector in x-fastest (file) order."""
+    """Flatten a volume to a float64 vector in x-fastest (file) order. VAF
+    feature rows keep the float32 voxels themselves (features.vaf_features),
+    which equal these values: float32 -> float64 is exact."""
     return np.asarray(v.voxels, dtype=np.float64)
 
 

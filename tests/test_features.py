@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -222,6 +223,24 @@ def test_vaf_equals_flatten(rng):
         == [np.float32(0.3)]
 
 
+def test_vaf_rows_are_the_float32_voxels(small_dataset, small_grayscale, small_vaf):
+    # float32 -> float64 is exact, so the VAF matrix keeps the voxels' own
+    # type; grayscale statistics are float64
+    manifest, _ = small_dataset
+    assert small_vaf.values.dtype == np.float32
+    assert small_grayscale.values.dtype == np.float64
+    for row, values in zip(read_manifest(manifest), small_vaf.values):
+        assert np.array_equal(values, flatten(load_volume(row.path)))
+
+
+def test_csv_of_float32_rows_equals_that_of_their_float64_upcast(tmp_path, small_vaf):
+    # np.float32 scalars format through their exact float64 value
+    upcast = dataclasses.replace(small_vaf, values=small_vaf.values.astype(np.float64))
+    save_feature_matrix(small_vaf, tmp_path / "f32.csv")
+    save_feature_matrix(upcast, tmp_path / "f64.csv")
+    assert (tmp_path / "f32.csv").read_bytes() == (tmp_path / "f64.csv").read_bytes()
+
+
 def test_build_matrix_shapes_and_order(small_dataset, small_grayscale, small_vaf):
     _, cfg = small_dataset
     n = cfg.n_ad + cfg.n_hc
@@ -250,6 +269,13 @@ def test_matrix_invariants(rng):
     with pytest.raises(ValueError):
         FeatureMatrix(values=np.array([[np.inf]]), labels=("AD",),
                       subject_ids=("a",), feature_kind=FeatureKind.VAF)
+    # float32 rows are checked in row chunks: a NaN in the last cell of a
+    # row past the first chunk
+    wide = np.zeros((3, 70_000), dtype=np.float32)
+    wide[2, -1] = np.nan
+    with pytest.raises(ValueError, match="feature values must all be finite"):
+        FeatureMatrix(values=wide, labels=("AD",) * 3,
+                      subject_ids=("a", "b", "c"), feature_kind=FeatureKind.VAF)
     with pytest.raises(ValueError):
         FeatureMatrix(values=np.zeros((1, 1)), labels=("ad",),
                       subject_ids=("a",), feature_kind=FeatureKind.VAF)

@@ -14,6 +14,7 @@ from voxelcad.labels import from_sign, to_sign
 from voxelcad.manifest import read_manifest
 from voxelcad.pca import (_fix_signs, center, contribution_rates, fit_pca, project,
                           raw_gram, select_components)
+from voxelcad.pca import map_back as pca_map_back
 from voxelcad.pipeline import (PIPELINES, PipelineModel,
                                canonical_pipeline, fit_pipeline,
                                pipeline_feature_kind, predict_matrix,
@@ -405,6 +406,7 @@ def test_only_the_rows_that_a_fit_scored_skip_the_bundle_path(pid, prescale, coh
     model = fit_pipeline(pid, X, labels, cfg, ann_seed=2, rows=sp.train, val_rows=sp.val,
                          gram=raw_gram(X) if cohort_gram else None)
     assert np.array_equal(model.held_out[1], sp.test)
+    assert model.held_out[3] > 0.0      # the time the fit spent scoring them
     for rows in (sp.train, sp.val):
         labels_a, scores_a = predict_matrix(model, X, rows=rows)
         labels_b, scores_b = predict_matrix(model, X[rows])
@@ -491,14 +493,15 @@ def test_predict_matrix_on_rows_equals_predict_on_the_sliced_rows(pid, small_gra
     assert np.array_equal(scores_a, scores_b)
 
 
-def _wide_fold_fit(pid, cfg, rng, val_rows=None):
-    """Fit pid on 40 of 50 rows 20,000 wide, like a VAF fold: (model, the
-    tracemalloc peak over the fold's training-row bytes). numpy reports its
-    array buffers to tracemalloc, so the traced peak counts every copy of
-    the training rows, independent of the C heap's layout. A narrow fit
+def _wide_fold_fit(pid, cfg, rng, dtype, val_rows=None):
+    """Fit pid on 40 of 50 rows 20,000 wide of the given dtype, like a VAF
+    fold: (model, the tracemalloc peak over the fold's training-row bytes
+    as float64, so one bound holds for float32 rows too). numpy reports
+    its array buffers to tracemalloc, so the traced peak counts every copy
+    of the training rows, independent of the C heap's layout. A narrow fit
     runs first, untraced, so that one-off lazy imports do not count."""
     n, m = 50, 20_000
-    X = rng.normal(size=(n, m))
+    X = rng.normal(size=(n, m)).astype(dtype)
     labels = ["AD"] * 35 + ["HC"] * 15
     rows = np.arange(5, 45)
     kw = dict(ann_seed=3, rows=rows, val_rows=val_rows)
@@ -509,17 +512,19 @@ def _wide_fold_fit(pid, cfg, rng, val_rows=None):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return model, peak / (rows.size * m * X.itemsize)
+    return model, peak / (rows.size * m * 8)
 
 
 def test_vaf_svm_fold_fit_makes_no_copy_of_its_rows(rng, small_runconfig):
     # the fit z-scores one gathered column block at a time and keeps only
     # kernel rows; the support vectors are formed when first read, after
-    # the traced fit
-    model, peak = _wide_fold_fit("VAF-SVM", small_runconfig, rng)
-    assert peak <= 0.25, peak
-    # the Gaussian preset keeps every row of such a fold as a support vector
-    assert model.classifier.support_vectors.shape[0] == 40
+    # the traced fit. float32 rows are upcast into one reused block buffer,
+    # so they are not copied whole either.
+    for dtype in (np.float64, np.float32):
+        model, peak = _wide_fold_fit("VAF-SVM", small_runconfig, rng, dtype)
+        assert peak <= 0.25, (dtype, peak)
+        # the Gaussian preset keeps every row of such a fold as a support vector
+        assert model.classifier.support_vectors.shape[0] == 40
 
 
 @pytest.mark.parametrize("pid", ["PCA-SVM", "PCA-ANN"])
@@ -530,12 +535,55 @@ def test_pca_fold_fit_allocates_one_working_copy(pid, rng, small_runconfig):
     # the one working copy of a fit that centres them (about 1.1x), let
     # alone prescale's two (2.16x). W is mapped back only when it is read.
     # PCA-ANN's validation rows (5 here, like a fold's 8 beside 56 training
-    # rows) are scored from the same Gram.
+    # rows) are scored from the same Gram. float32 rows are upcast one
+    # reused block at a time.
     val_rows = np.arange(45, 50) if pid == "PCA-ANN" else None
-    for prescale in (False, True):
-        cfg = dataclasses.replace(small_runconfig, pca_prescale=prescale)
-        model, peak = _wide_fold_fit(pid, cfg, rng, val_rows)
-        assert model.weight.shape[0] == 20_000
-        if val_rows is not None:
-            assert model.classifier.history["val_sse"] is not None
-        assert peak <= 0.5, (prescale, peak)
+    for dtype in (np.float64, np.float32):
+        for prescale in (False, True):
+            cfg = dataclasses.replace(small_runconfig, pca_prescale=prescale)
+            model, peak = _wide_fold_fit(pid, cfg, rng, dtype, val_rows)
+            assert model.weight.shape[0] == 20_000
+            if val_rows is not None:
+                assert model.classifier.history["val_sse"] is not None
+            assert peak <= 0.5, (dtype, prescale, peak)
+
+
+def _wide_float32_fold(rng):
+    """float32 rows 3,500 wide (three column blocks, the last wider), their
+    exact float64 upcast, labels and one cross-validation fold."""
+    X32 = rng.normal(size=(40, 3_500)).astype(np.float32)
+    labels = np.array(["AD"] * 28 + ["HC"] * 12, dtype=object)
+    return X32, X32.astype(np.float64), labels, stratified_split(labels, 4, 0.10, seed=0)[1]
+
+
+def test_float32_rows_give_the_raw_gram_and_map_back_of_their_float64_upcast(rng):
+    X32, X64, _, sp = _wide_float32_fold(rng)
+    scale = rng.random(X32.shape[1]) + 0.5
+    for rows in (None, sp.train):
+        assert np.array_equal(raw_gram(X32, rows), raw_gram(X64, rows))
+        coef = rng.normal(size=(X32.shape[0] if rows is None else rows.size, 5))
+        for s in (None, scale):
+            W32, means32 = pca_map_back(X32, rows, coef, s)
+            W64, means64 = pca_map_back(X64, rows, coef, s)
+            assert np.array_equal(W32, W64) and np.array_equal(means32, means64)
+
+
+@pytest.mark.parametrize("pid, prescale, cohort_gram", _SCORED)
+def test_a_fit_on_float32_rows_equals_the_fit_on_their_float64_upcast(
+        pid, prescale, cohort_gram, rng, small_runconfig):
+    # float32 -> float64 is exact and every reader of the rows upcasts
+    # them before any arithmetic, so the fit, its held-out scores, its
+    # bundle and its bundle-path scores are the same bits
+    X32, X64, labels, sp = _wide_float32_fold(rng)
+    cfg = dataclasses.replace(small_runconfig, feature_kind="vaf",
+                              kernel_scale=_median_scale(X64), pca_prescale=prescale)
+    models = [fit_pipeline(pid, X, labels, cfg, ann_seed=2, rows=sp.train,
+                           val_rows=sp.val, gram=raw_gram(X) if cohort_gram else None)
+              for X in (X32, X64)]
+    assert np.array_equal(models[0].held_out[2], models[1].held_out[2])
+    assert models[0].to_dict() == models[1].to_dict()
+    for rows in (sp.train, sp.val):
+        got = [predict_matrix(model, X, rows=rows)[1] for model, X in zip(models, (X32, X64))]
+        assert np.array_equal(*got)
+        got = [predict_matrix(model, X[rows])[1] for model, X in zip(models, (X32, X64))]
+        assert np.array_equal(*got)
