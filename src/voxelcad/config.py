@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .ann import Activation, TrainConfig, Trainer
@@ -159,8 +160,8 @@ class RunConfig:
 
     @classmethod
     def from_sources(cls, config_path=None, overrides: dict | None = None) -> "RunConfig":
-        """defaults <- JSON file <- overrides; unknown keys and values of
-        the wrong JSON type are errors that name the key."""
+        """defaults <- JSON file <- overrides; unknown keys, values of the
+        wrong JSON type and non-finite numbers are errors that name the key."""
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         merged: dict = {}
 
@@ -171,6 +172,8 @@ class RunConfig:
             test, want = _TYPE_CHECKS[types[field]]
             if not test(value):
                 raise ValueError(f"{label} must be {want}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{label} must be finite, got {value!r}")
             merged[field] = value
 
         if config_path is not None:

@@ -23,18 +23,18 @@ are U sqrt((n-1) lambda), so the sign rule is eigen_symmetric's own fix on
 U. Any other row scores (g - mean(g)) coef + origin from its raw Gram row g
 over the training rows, with coef = U / sqrt((n-1) lambda) and origin the
 scores of the zero row. Only the r <= n-1 components of the nonzero
-spectrum are kept. The m-wide means and components are formed when first
-read, by map_back one column block at a time (X_b^T coef - mean_b 1^T coef,
-no centred copy); until then the model refers to X, which must not be
-written meanwhile.
+spectrum are kept. When fit_pca builds the Gram itself, it maps the m-wide
+means and components back at once, one column block at a time (map_back:
+X_b^T coef - mean_b 1^T coef, no centred copy). Given the caller's Gram, it
+forms neither: the model keeps coef, origin and the training scores, which
+is all that scoring rows from their Gram rows needs, and holds no
+reference to X.
 
 The zero-variance check compares the total centred variance with a
 round-off floor; on the Gram route the floor scales with the raw diagonal.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -46,34 +46,38 @@ _BLOCK_COLS = 1024      # width of a column_blocks block
 class PcaModel:
     """Fitted PCA basis.
 
-    components holds the first r eigenvectors as columns (m x r, F order);
-    r equals m on the direct route and the retained nonzero-spectrum size
-    on the Gram route. eigenvalues/contribution have length r,
-    non-increasing. scores, when set by fit_pca, holds project(model,
-    X_train) for the rows the model was fit on (n x retained).
+    components holds the first r eigenvectors as columns (m x r, F order)
+    and means the column means of the fitted rows; r equals m on the direct
+    route and the retained nonzero-spectrum size on the Gram route.
+    eigenvalues/contribution have length r, non-increasing. scores, when
+    set by fit_pca, holds project(model, X_train) for the rows the model was
+    fit on (n x retained).
 
-    A Gram-route fit passes basis=(X, rows) and coef (n x r) in place of
-    means and components, which map_back then forms on first read; origin
-    is project(model, 0), the scores of the zero row.
+    A Gram-route fit also keeps coef (n x r), with which a row's centred
+    raw Gram row over the fitted rows gives its scores, and origin,
+    project(model, 0), the scores of the zero row. A fit from the caller's
+    Gram has no means or components (None), and gives n_features instead.
     """
 
     def __init__(self, eigenvalues, retained: int, contribution, means=None,
-                 components=None, scores=None, coef=None, origin=None, basis=None):
+                 components=None, scores=None, coef=None, origin=None,
+                 n_features: int | None = None):
         self.eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
         self.contribution = np.asarray(contribution, dtype=np.float64)
         self.retained = retained
         self.scores = scores
         self.coef = coef
-        self._basis = basis
-        if basis is None:
+        self.means = self.components = None
+        if components is None:
+            if coef is None or origin is None or n_features is None:
+                raise ValueError("a model without components needs coef, origin and n_features")
+            self.n_features, r = n_features, coef.shape[1]
+        else:
             self.means = np.asarray(means, dtype=np.float64)
             self.components = np.asarray(components, dtype=np.float64)
-            m, r = self.components.shape
-            if self.means.shape != (m,):
+            self.n_features, r = self.components.shape
+            if self.means.shape != (self.n_features,):
                 raise ValueError("means length must match component rows")
-        else:
-            r = coef.shape[1]
-        self.n_features = basis[0].shape[1] if basis is not None else m
         self.origin = (-(self.means @ self.components) if origin is None
                        else np.asarray(origin, dtype=np.float64))
         if self.eigenvalues.shape != (r,) or self.contribution.shape != (r,):
@@ -82,16 +86,6 @@ class PcaModel:
             raise ValueError(f"retained must lie in [1, {r}], got {self.retained}")
         if np.any(np.diff(self.eigenvalues) > 0):
             raise ValueError("eigenvalues must be non-increasing")
-
-    @cached_property
-    def components(self) -> np.ndarray:
-        components, self.__dict__["means"] = map_back(*self._basis, self.coef)
-        return components
-
-    @cached_property
-    def means(self) -> np.ndarray:
-        self.components   # one map-back pass forms both
-        return self.__dict__["means"]
 
 
 def feature_rows(X) -> np.ndarray:
@@ -136,13 +130,14 @@ def raw_gram(X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     rows select, in that order. No mean is subtracted, so entry (i, j)
     depends on rows i and j only. Built one column block at a time: no copy
     of the rows is made beyond one block (float32 rows are upcast one
-    reused block at a time), and the result is exactly symmetric."""
+    reused block at a time). Each block's Xb Xb^T is numpy's syrk, exactly
+    symmetric, so their sum is too."""
     X = feature_rows(X)
     n = X.shape[0] if rows is None else len(rows)
     G = np.zeros((n, n))
     for _, _, Xb in column_blocks(X, rows):
         G += Xb @ Xb.T
-    return np.triu(G) + np.triu(G, 1).T
+    return G
 
 
 def map_back(X: np.ndarray, rows: np.ndarray | None, coef: np.ndarray,
@@ -267,7 +262,9 @@ def fit_pca(X, cum_threshold: float = 0.95, method: str = "auto",
     method: "direct" eigendecomposes the m x m covariance, "gram" the n x n
     centred Gram matrix (exact for the nonzero spectrum), "auto" picks gram
     when m > n. gram, if given, is raw_gram(X, rows), which the Gram route
-    then reads instead of building it.
+    then reads instead of building it; such a fit reads X for its shape
+    only, and its model has no means or components (None). Without gram,
+    the Gram route maps both back from the rows before it returns.
     """
     X = feature_rows(getattr(X, "values", X))
     if X.ndim != 2:
@@ -279,7 +276,9 @@ def fit_pca(X, cum_threshold: float = 0.95, method: str = "auto",
     if n < 2:
         raise ValueError("fit_pca needs n >= 2 samples")
     if m > n if method == "auto" else method == "gram":
-        return _fit_gram(X, rows, cum_threshold, raw_gram(X, rows) if gram is None else gram)
+        if gram is not None:
+            return _fit_gram(gram, m, cum_threshold)
+        return _fit_gram(raw_gram(X, rows), m, cum_threshold, basis=(X, rows))
     Xc, means = center(X, rows)
     P = covariance(Xc)
     # identical rows leave round-off residue, not exact zeros; treat variance
@@ -301,9 +300,11 @@ def fit_pca(X, cum_threshold: float = 0.95, method: str = "auto",
                     scores=scores[:, :retained])
 
 
-def _fit_gram(X, rows, cum_threshold, G) -> PcaModel:
-    """The Gram route of fit_pca, from the raw Gram G of the fitted rows."""
-    n, m = G.shape[0], X.shape[1]
+def _fit_gram(G, m, cum_threshold, basis=None) -> PcaModel:
+    """The Gram route of fit_pca, from the raw Gram G of the fitted rows of
+    m features; basis, if given, is (X, rows), from which the means and
+    components are mapped back."""
+    n = G.shape[0]
     r = G.mean(axis=0)
     Gc = G - r
     Gc -= r[:, None]
@@ -325,14 +326,18 @@ def _fit_gram(X, rows, cum_threshold, G) -> PcaModel:
     coef = U / norms
     rates = contribution_rates(eigenvalues)
     retained = select_components(rates, cum_threshold)
+    components, means = (None, None) if basis is None else map_back(*basis, coef)
     return PcaModel(eigenvalues=eigenvalues, retained=retained, contribution=rates,
+                    means=means, components=components,
                     scores=U[:, :retained] * norms[:retained], coef=coef,
-                    origin=(r.mean() - r) @ coef, basis=(X, rows))
+                    origin=(r.mean() - r) @ coef, n_features=m)
 
 
 def project(model: PcaModel, X: np.ndarray, n_components: int | None = None) -> np.ndarray:
     """Center X with the model means and project onto the leading
     n_components eigenvectors (default: the model's retained count)."""
+    if model.components is None:
+        raise ValueError("a model fit from the caller's Gram has no components to project on")
     X = np.asarray(X, dtype=np.float64)
     single = X.ndim == 1
     if single:

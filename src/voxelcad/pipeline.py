@@ -38,7 +38,7 @@ fit in one batch, in ascending row order, and the model keeps their scores
 (held_out), with the time that scoring took. For a cross-validation fold
 those are its test rows.
 predict_matrix reads rows of the fit's own X from those scores, and sends
-every other row through the bundle's one front end, AffineFront.
+every other row through the bundle's one affine front end.
 
 No stage writes into the caller's X, and a fit that refers to X needs it
 unchanged until its model is dropped. predict_matrix takes the same rows
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -109,19 +110,41 @@ def _sigmas(Xc: np.ndarray) -> np.ndarray:
 BUNDLE_VERSION = 2
 
 
-class AffineFront:
-    """The front end x W + b as a bundle stores it: W is m x k in F order
-    for the PCA pipelines, and a length-m scale w, applied as x * w + b,
-    for VAF-SVM. affine is the pair (W, b), or a zero-argument callable
-    that a fit passes to form them when first read."""
+@dataclass(frozen=True, eq=False)
+class PipelineModel:
+    """Self-contained bundle: feature recipe + affine front end + classifier.
 
-    def __init__(self, n_features: int, affine):
-        self.n_features = n_features
-        self._affine = affine
+    The front end is x W + b on rows of n_features (m) features: its weight
+    W is m x k in F order for the PCA pipelines, and a length-m scale w,
+    applied as x * w + b, for VAF-SVM; its offset b has one entry per
+    classifier input. affine is the pair (W, b), or a zero-argument
+    callable that forms them when first read, as a fit passes it.
+
+    pca_retained and pca_cumulative_variance describe a PCA fit,
+    identity_kernel says whether a VAF-SVM fit's training kernel was
+    exactly the identity, and held_out is (X, positions, scores, seconds):
+    the decision scores of the rows of the fit's X at the ascending
+    positions, which the fit read and scored although it neither trained
+    nor validated on them, and the wall time of that scoring. They are None
+    where they do not apply and for loaded bundles, and they are not in the
+    bundle.
+    """
+
+    pipeline: str
+    feature_kind: FeatureKind
+    block_grid: tuple[int, int, int] | None
+    bins: int | None
+    n_features: int
+    affine: tuple[np.ndarray, np.ndarray] | Callable[[], tuple[np.ndarray, np.ndarray]]
+    classifier: svm.SvmModel | ann.AnnModel
+    pca_retained: int | None = None
+    pca_cumulative_variance: float | None = None
+    identity_kernel: bool | None = None
+    held_out: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
 
     @cached_property
     def _pair(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._affine() if callable(self._affine) else self._affine
+        return self.affine() if callable(self.affine) else self.affine
 
     @property
     def weight(self) -> np.ndarray:
@@ -130,47 +153,6 @@ class AffineFront:
     @property
     def offset(self) -> np.ndarray:
         return self._pair[1]
-
-
-@dataclass(frozen=True, eq=False)
-class PipelineModel:
-    """Self-contained bundle: feature recipe + affine front end + classifier.
-
-    front holds the front end's weight, m x k in F order (PCA pipelines)
-    or a length-m scale (VAF-SVM), and its offset, one entry per classifier
-    input; a fit's front forms them only when first read. pca_retained and
-    pca_cumulative_variance describe a PCA fit, identity_kernel says
-    whether a VAF-SVM fit's training kernel was exactly the identity, and
-    held_out is (X, positions, scores, seconds): the decision scores of the
-    rows of the fit's X at the ascending positions, which the fit read and
-    scored although it neither trained nor validated on them, and the wall
-    time of that scoring. They are None where
-    they do not apply and for loaded bundles, and they are not in the
-    bundle.
-    """
-
-    pipeline: str
-    feature_kind: FeatureKind
-    block_grid: tuple[int, int, int] | None
-    bins: int | None
-    front: AffineFront
-    classifier: svm.SvmModel | ann.AnnModel
-    pca_retained: int | None = None
-    pca_cumulative_variance: float | None = None
-    identity_kernel: bool | None = None
-    held_out: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
-
-    @property
-    def weight(self) -> np.ndarray:
-        return self.front.weight
-
-    @property
-    def offset(self) -> np.ndarray:
-        return self.front.offset
-
-    @property
-    def n_features(self) -> int:
-        return self.front.n_features
 
     def to_dict(self, arrays: bool = False) -> dict:
         """The bundle as JSON-ready values; arrays=True leaves the numpy
@@ -228,7 +210,8 @@ class PipelineModel:
             feature_kind=kind,
             block_grid=block_grid,
             bins=bins,
-            front=AffineFront(weight.shape[0], (weight, offset)),
+            n_features=weight.shape[0],
+            affine=(weight, offset),
             classifier=classifier,
         )
 
@@ -412,7 +395,7 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         identity = bool(np.array_equal(K_train, np.eye(train.size)))
         keep = alpha > svm.SV_EPS
         sv = train[keep]
-        front = AffineFront(X.shape[1], lambda: (1.0 / sigmas, -(means / sigmas)))
+        affine = lambda: (1.0 / sigmas, -(means / sigmas))
         classifier = svm.SvmModel(support_vectors=lambda: _zscored(X, sv, means, sigmas),
                                   alphas=alpha[keep], labels=targets[keep], bias=bias,
                                   kernel=kernel, C=cfg.C)
@@ -428,8 +411,6 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
                                         "scale" if cfg.pca_prescale else None)
         else:
             G, sd = gram[np.ix_(np.concatenate([train, others]), train)], None
-        # with pca_prescale, G is the Gram of the scaled rows, which the
-        # model's components (never read here) do not describe
         pca_model = fit_pca(X, cum_threshold=cfg.pca_threshold, method="gram", rows=rows,
                             gram=G[:n])
         retained = pca_model.retained
@@ -437,10 +418,9 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         Xs, means, sigmas = standardize(pca_model.scores)
         offset = (pca_model.origin[:retained] - means) / sigmas
         coef = pca_model.coef[:, :retained] / sigmas
-        del pca_model
         # W = diag(1/sd^2) (X[train] - means)^T coef, mapped back when read
         sq = None if sd is None else (1.0 / sd) ** 2
-        front = AffineFront(X.shape[1], lambda: (map_back(X, rows, coef, sq)[0], offset))
+        affine = lambda: (map_back(X, rows, coef, sq)[0], offset)
 
         if pid == "PCA-SVM":
             classifier = svm.train_svm(Xs, targets, C=cfg.C, kernel=cfg.kernel_spec(),
@@ -465,7 +445,8 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         feature_kind=kind,
         block_grid=tuple(cfg.block_grid) if grayscale else None,
         bins=cfg.bins if grayscale else None,
-        front=front,
+        n_features=X.shape[1],
+        affine=affine,
         classifier=classifier,
         pca_retained=retained,
         pca_cumulative_variance=cum_variance,

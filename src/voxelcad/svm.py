@@ -157,8 +157,12 @@ class SvmModel:
         # only a linear kernel has no scale
         scale = (KernelSpec.scale if kind is KernelKind.LINEAR and d["scale"] is None
                  else number_field(d["scale"], f"{path}.scale"))
+        # a model that keeps no support vector saves them as [], which
+        # scores its bias whatever the width of the rows
+        sv = d["support_vectors"]
         return cls(
-            support_vectors=array_field(d["support_vectors"], f"{path}.support_vectors", (2,)),
+            support_vectors=(np.empty((0, 0)) if isinstance(sv, list) and not sv else
+                             array_field(sv, f"{path}.support_vectors", (2,))),
             alphas=array_field(d["alphas"], f"{path}.alphas", (1,)),
             labels=array_field(d["labels"], f"{path}.labels", (1,)),
             bias=number_field(d["bias"], f"{path}.bias"),

@@ -14,6 +14,7 @@ from voxelcad import __version__
 from voxelcad.cli import build_parser, dispatch
 from voxelcad.features import FeatureKind, build_feature_matrix
 from voxelcad.manifest import read_manifest
+from voxelcad.pipeline import PipelineModel
 
 
 def _extract_values(path) -> np.ndarray:
@@ -123,6 +124,33 @@ def test_train_then_predict(svm_bundle, small_dataset, capsys):
     assert code == 0
     out = capsys.readouterr().out.strip()
     assert re.fullmatch(r"(AD|HC) -?\d+\.\d{6}", out)
+
+
+@pytest.mark.parametrize("flags", [["--pca", "--svm-tol", "3"], ["--no-pca", "--svm-tol", "3"],
+                                   ["--C", "1e-9"]], ids=["pca", "no-pca", "tiny-C"])
+def test_a_bundle_with_no_support_vector_loads_and_scores_its_bias(flags, small_dataset,
+                                                                   tmp_path, capsys):
+    manifest, _ = small_dataset
+    out = tmp_path / "model.json"
+    assert dispatch(["train", "--manifest", str(manifest), "--model", "svm", *flags,
+                     "--model-out", str(out)]) == 0
+    svm_fields = json.loads(out.read_text())["classifier"]["model"]
+    assert svm_fields["support_vectors"] == [] and svm_fields["alphas"] == []
+    capsys.readouterr()
+    row = read_manifest(manifest)[0]
+    assert dispatch(["predict", "--model", str(out), "--volume", str(row.path)]) == 0
+    assert capsys.readouterr().out.split()[1] == f"{svm_fields['bias']:.6f}"
+    PipelineModel.load(out).save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == out.read_bytes()
+
+
+def test_a_non_finite_flag_is_refused(small_dataset, tmp_path, capsys):
+    manifest, _ = small_dataset
+    out = tmp_path / "model.json"
+    assert dispatch(["train", "--manifest", str(manifest), "--C", "inf",
+                     "--model-out", str(out)]) == 1
+    assert "config override 'C' must be finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_predict_missing_volume_exits_1(svm_bundle, tmp_path, capsys):

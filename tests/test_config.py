@@ -107,6 +107,18 @@ def test_from_sources_rejects_unknown_keys(tmp_path):
         RunConfig.from_sources(path)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", ["kernel_scale", "C", "lambda"])
+def test_from_sources_refuses_non_finite_numbers(key, value, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: value}))   # Infinity, -Infinity or NaN
+    with pytest.raises(ValueError, match=f"config key '{key}' in .* must be finite"):
+        RunConfig.from_sources(path)
+    with pytest.raises(ValueError, match=f"config override '{key}' must be finite"):
+        RunConfig.from_sources(None, {key: value})
+
+
 def test_from_sources_checks_json_types(tmp_path):
     path = tmp_path / "run.json"
     # an integer is a valid number; a list is a valid triple

@@ -241,6 +241,14 @@ def test_csv_of_float32_rows_equals_that_of_their_float64_upcast(tmp_path, small
     assert (tmp_path / "f32.csv").read_bytes() == (tmp_path / "f64.csv").read_bytes()
 
 
+def test_csv_of_float32_rows_spells_each_scalar_with_17_digits(tmp_path, small_vaf):
+    save_feature_matrix(small_vaf, tmp_path / "f.csv")
+    with open(tmp_path / "f.csv", encoding="utf-8", newline="") as fh:
+        _, *records = csv.reader(fh)
+    for rec, values in zip(records, small_vaf.values):
+        assert rec[2:] == [format(x, ".17g") for x in values]
+
+
 def test_build_matrix_shapes_and_order(small_dataset, small_grayscale, small_vaf):
     _, cfg = small_dataset
     n = cfg.n_ad + cfg.n_hc

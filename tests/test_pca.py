@@ -1,9 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from oracles import eigenvalues_bisect, map_back
 from voxelcad.pca import (_BLOCK_COLS, PcaModel, _fix_signs, center, contribution_rates,
-                          covariance, eigen_symmetric, fit_pca, project,
+                          covariance, eigen_symmetric, fit_pca, project, raw_gram,
                           select_components)
 
 SQ2 = np.sqrt(2.0)
@@ -303,3 +305,33 @@ def test_model_invariants():
         PcaModel(**{**good, "eigenvalues": np.array([1.0, 2.0])})
     with pytest.raises(ValueError):
         PcaModel(**{**good, "means": np.zeros(5)})
+    # the form of a fit from the caller's Gram: coef (n x r) and origin, and
+    # no means or components
+    gram = dict(eigenvalues=np.array([2.0, 1.0]), retained=1,
+                contribution=np.array([2 / 3, 1 / 3]), coef=np.ones((3, 2)),
+                origin=np.zeros(2), n_features=5)
+    model = PcaModel(**gram)
+    assert model.components is None and model.means is None and model.n_features == 5
+    with pytest.raises(ValueError):
+        PcaModel(**{**gram, "retained": 3})
+    with pytest.raises(ValueError):
+        PcaModel(**{**gram, "coef": np.ones((3, 3))})
+    for missing in ("coef", "origin", "n_features"):
+        with pytest.raises(ValueError, match="needs coef, origin and n_features"):
+            PcaModel(**{**gram, missing: None})
+
+
+def test_a_fit_from_the_callers_gram_keeps_no_reference_to_the_rows(rng):
+    X = rng.normal(size=(12, 300)) * np.geomspace(5.0, 0.05, 300)
+    rows = np.arange(1, 11)
+    full = fit_pca(X, cum_threshold=0.95, rows=rows)
+    model = fit_pca(X, cum_threshold=0.95, rows=rows, gram=raw_gram(X, rows))
+    assert model.components is None and model.means is None
+    assert model.n_features == 300 and model.retained == full.retained
+    for name in ("eigenvalues", "contribution", "scores", "coef", "origin"):
+        assert np.array_equal(getattr(model, name), getattr(full, name))
+    with pytest.raises(ValueError, match="no components"):
+        project(model, X)
+    alive = weakref.ref(X)
+    del X
+    assert alive() is None
