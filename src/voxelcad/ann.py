@@ -28,6 +28,9 @@ hidden layer, w2 = 0, b2 = mean of the training targets), the
 least-squares fit that ignores its inputs, so a trained iterate is
 returned only when it beats that constant on validation. Training itself
 still starts from the random draw.
+
+This module is numerics only: a model's fields are written to and read
+from a bundle by pipeline.PipelineModel, which owns the bundle format.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .bundlefields import array_field, number_field
 
 # Levenberg-Marquardt damping schedule
 MU0 = 1e-3
@@ -120,28 +121,6 @@ class AnnModel:
     @property
     def n_inputs(self) -> int:
         return self.w1.shape[1]
-
-    def to_dict(self, arrays: bool = False) -> dict:
-        """JSON-ready fields; arrays=True leaves the numpy arrays as they are."""
-        plain = (lambda a: a) if arrays else np.ndarray.tolist
-        return {
-            "activation": self.activation.value,
-            "w1": plain(self.w1),
-            "b1": plain(self.b1),
-            "w2": plain(self.w2),
-            "b2": self.b2,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, path: str = "model") -> "AnnModel":
-        """Inverse of to_dict; path locates d in the bundle, for error messages."""
-        return cls(
-            w1=array_field(d["w1"], f"{path}.w1", (2,)),
-            b1=array_field(d["b1"], f"{path}.b1", (1,)),
-            w2=array_field(d["w2"], f"{path}.w2", (1,)),
-            b2=number_field(d["b2"], f"{path}.b2"),
-            activation=Activation(d["activation"]),
-        )
 
 
 def _act(z: np.ndarray, activation: Activation) -> np.ndarray:

@@ -129,7 +129,12 @@ class RunConfig:
                            seed=self.seed if seed is None else int(seed))
 
     def validate(self) -> "RunConfig":
-        """Run every owning module's precondition checks up front."""
+        """Run every owning module's precondition checks up front, after
+        refusing a non-finite number in any float field."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         self.synth_config()
         self.feature_kind_enum()
         self.kernel_spec()

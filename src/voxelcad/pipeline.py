@@ -44,6 +44,12 @@ No stage writes into the caller's X, and a fit that refers to X needs it
 unchanged until its model is dropped. predict_matrix takes the same rows
 argument, so scoring rows that the fit did not score gathers them at most
 once.
+
+This module alone knows the bundle format. PipelineModel.to_dict and
+from_dict write and read every field, the classifier's too (svm.py and
+ann.py hold numerics only), and its typed field readers refuse a
+malformed bundle with a ValueError that names the field by its dotted
+path, so `voxelcad predict` reports it as a domain error.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ from functools import cached_property
 import numpy as np
 
 from . import ann, svm
-from .bundlefields import array_field, object_field
 from .config import RunConfig
 from .features import FeatureKind, block_features, check_recipe, vaf_features
 from .labels import from_sign, to_sign
@@ -157,18 +162,35 @@ class PipelineModel:
     def to_dict(self, arrays: bool = False) -> dict:
         """The bundle as JSON-ready values; arrays=True leaves the numpy
         arrays as they are (for the streamed writer in save)."""
-        kind = "SVM" if isinstance(self.classifier, svm.SvmModel) else "ANN"
-        affine = {"weight": self.weight, "offset": self.offset}
-        if not arrays:
-            affine = {key: value.tolist() for key, value in affine.items()}
+        plain = (lambda a: a) if arrays else np.ndarray.tolist
+        clf = self.classifier
+        if isinstance(clf, svm.SvmModel):
+            gaussian = clf.kernel.kind is svm.KernelKind.GAUSSIAN
+            kind, fields = "SVM", {
+                "kernel": clf.kernel.kind.value,
+                "scale": clf.kernel.scale if gaussian else None,
+                "C": clf.C,
+                "bias": clf.bias,
+                "support_vectors": plain(clf.support_vectors),
+                "alphas": plain(clf.alphas),
+                "labels": plain(clf.labels),
+            }
+        else:
+            kind, fields = "ANN", {
+                "activation": clf.activation.value,
+                "w1": plain(clf.w1),
+                "b1": plain(clf.b1),
+                "w2": plain(clf.w2),
+                "b2": clf.b2,
+            }
         return {
             "version": BUNDLE_VERSION,
             "pipeline": self.pipeline,
             "feature_kind": self.feature_kind.value,
             "block_grid": list(self.block_grid) if self.block_grid else None,
             "bins": self.bins,
-            "affine": affine,
-            "classifier": {"type": kind, "model": self.classifier.to_dict(arrays)},
+            "affine": {"weight": plain(self.weight), "offset": plain(self.offset)},
+            "classifier": {"type": kind, "model": fields},
         }
 
     @classmethod
@@ -181,17 +203,10 @@ class PipelineModel:
                 f"unsupported bundle version {version!r}: this voxelcad reads "
                 f"version {BUNDLE_VERSION} only; train the model again"
             )
-        clf = object_field(d["classifier"], "classifier")
-        model = object_field(clf["model"], "classifier.model")
-        if clf["type"] == "SVM":
-            classifier = svm.SvmModel.from_dict(model, "classifier.model")
-        elif clf["type"] == "ANN":
-            classifier = ann.AnnModel.from_dict(model, "classifier.model")
-        else:
-            raise ValueError(f"unknown classifier type {clf['type']!r}")
-        affine = object_field(d["affine"], "affine")
-        weight = array_field(affine["weight"], "affine.weight", (1, 2))
-        offset = array_field(affine["offset"], "affine.offset", (1,))
+        classifier = _read_classifier(_object_field(d["classifier"], "classifier"))
+        affine = _object_field(d["affine"], "affine")
+        weight = _array_field(affine["weight"], "affine.weight", (1, 2))
+        offset = _array_field(affine["offset"], "affine.offset", (1,))
         if offset.shape != weight.shape[-1:]:
             raise ValueError(f"bundle field 'affine' has a {weight.shape} weight "
                              f"and a {offset.shape} offset that do not compose")
@@ -225,6 +240,72 @@ class PipelineModel:
     def load(cls, path) -> "PipelineModel":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _read_classifier(clf: dict) -> svm.SvmModel | ann.AnnModel:
+    """The classifier of a bundle from its parsed "classifier" object."""
+    path = "classifier.model"
+    model = _object_field(clf["model"], path)
+    array = lambda key, ndims: _array_field(model[key], f"{path}.{key}", ndims)
+    number = lambda key: _number_field(model[key], f"{path}.{key}")
+    if clf["type"] == "SVM":
+        kind = svm.KernelKind(model["kernel"])
+        # only a linear kernel has no scale
+        scale = (svm.KernelSpec.scale if kind is svm.KernelKind.LINEAR and model["scale"] is None
+                 else number("scale"))
+        # a model that keeps no support vector saves them as [], which
+        # scores its bias whatever the width of the rows
+        sv = model["support_vectors"]
+        return svm.SvmModel(
+            support_vectors=(np.empty((0, 0)) if isinstance(sv, list) and not sv else
+                             array("support_vectors", (2,))),
+            alphas=array("alphas", (1,)),
+            labels=array("labels", (1,)),
+            bias=number("bias"),
+            kernel=svm.KernelSpec(kind, scale),
+            C=number("C"),
+        )
+    if clf["type"] == "ANN":
+        return ann.AnnModel(
+            w1=array("w1", (2,)),
+            b1=array("b1", (1,)),
+            w2=array("w2", (1,)),
+            b2=number("b2"),
+            activation=ann.Activation(model["activation"]),
+        )
+    raise ValueError(f"unknown classifier type {clf['type']!r}")
+
+
+def _object_field(value, field: str) -> dict:
+    """A field that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"bundle field '{field}' must be a JSON object, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _array_field(value, field: str, ndims: tuple[int, ...]) -> np.ndarray:
+    """A field read as a finite float64 array with one of the given ranks.
+    Only JSON numbers count: numpy's own reading of the nested lists must
+    give integers or floats, so strings and booleans are refused."""
+    try:
+        arr = np.array(value)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is not None and arr.dtype.kind in "iuf" and arr.ndim in ndims:
+        arr = arr.astype(np.float64, copy=False)
+        if np.isfinite(arr).all():
+            return arr
+    raise ValueError(f"bundle field '{field}' must be a numeric array of rank "
+                     f"{' or '.join(map(str, ndims))}, all finite")
+
+
+def _number_field(value, field: str) -> float:
+    """A field that must be a finite JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not np.isfinite(value):
+        raise ValueError(f"bundle field '{field}' must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _write_json(fh, value) -> None:

@@ -30,6 +30,9 @@ norms of the support vectors are computed once per model.
 decision_batch expects rows in the space the model was trained in; for a
 pipeline that is the output of its affine front end, which
 pipeline.predict_matrix applies first.
+
+This module is numerics only: a model's fields are written to and read
+from a bundle by pipeline.PipelineModel, which owns the bundle format.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .bundlefields import array_field, number_field
 
 SV_EPS = 1e-8           # support-vector retention threshold on alpha
 _BOUND_SNAP = 1e-10     # snap alphas this close to 0/C (relative to C)
@@ -136,39 +137,6 @@ class SvmModel:
         """Squared norms of the support vectors."""
         sv = self.support_vectors
         return np.einsum("ij,ij->i", sv, sv)
-
-    def to_dict(self, arrays: bool = False) -> dict:
-        """JSON-ready fields; arrays=True leaves the numpy arrays as they are."""
-        plain = (lambda a: a) if arrays else np.ndarray.tolist
-        return {
-            "kernel": self.kernel.kind.value,
-            "scale": self.kernel.scale if self.kernel.kind is KernelKind.GAUSSIAN else None,
-            "C": self.C,
-            "bias": self.bias,
-            "support_vectors": plain(self.support_vectors),
-            "alphas": plain(self.alphas),
-            "labels": plain(self.labels),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, path: str = "model") -> "SvmModel":
-        """Inverse of to_dict; path locates d in the bundle, for error messages."""
-        kind = KernelKind(d["kernel"])
-        # only a linear kernel has no scale
-        scale = (KernelSpec.scale if kind is KernelKind.LINEAR and d["scale"] is None
-                 else number_field(d["scale"], f"{path}.scale"))
-        # a model that keeps no support vector saves them as [], which
-        # scores its bias whatever the width of the rows
-        sv = d["support_vectors"]
-        return cls(
-            support_vectors=(np.empty((0, 0)) if isinstance(sv, list) and not sv else
-                             array_field(sv, f"{path}.support_vectors", (2,))),
-            alphas=array_field(d["alphas"], f"{path}.alphas", (1,)),
-            labels=array_field(d["labels"], f"{path}.labels", (1,)),
-            bias=number_field(d["bias"], f"{path}.bias"),
-            kernel=KernelSpec(kind, scale),
-            C=number_field(d["C"], f"{path}.C"),
-        )
 
 
 def solve_dual(X: np.ndarray, y: np.ndarray, C: float, kernel: KernelSpec,

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -288,19 +286,3 @@ def test_input_validation():
     with pytest.raises(ValueError, match="validation set must be finite"):
         train_gdm(LINE_X, LINE_T, cfg, val_X=LINE_X,
                   val_targets=np.full(5, np.nan))
-
-
-def test_json_round_trip(rng):
-    model = AnnModel(w1=rng.normal(size=(3, 2)), b1=rng.normal(size=3),
-                     w2=rng.normal(size=3), b2=0.7,
-                     activation=Activation.RELU)
-    d = json.loads(json.dumps(model.to_dict()))
-    back = AnnModel.from_dict(d)
-    assert back.activation is Activation.RELU
-    assert np.array_equal(back.w1, model.w1)
-    assert np.array_equal(back.b1, model.b1)
-    assert np.array_equal(back.w2, model.w2)
-    assert back.b2 == model.b2
-    probe = rng.normal(size=(3, 2))
-    assert np.array_equal(forward_batch(back, probe), forward_batch(model, probe))
-    assert "version" not in d

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -74,6 +75,23 @@ def test_factory_error_messages():
 def test_validate_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         RunConfig(**bad).validate()
+
+
+_FLOAT_FIELDS = ["separation", "noise_sigma", "pca_threshold", "kernel_scale", "C",
+                 "svm_tol", "lambda_", "lr", "momentum", "goal_sse", "val_fraction"]
+
+
+def test_the_non_finite_cases_cover_every_float_field():
+    assert _FLOAT_FIELDS == [f.name for f in dataclasses.fields(RunConfig)
+                             if f.type == "float"]
+
+
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_validate_refuses_non_finite_numbers(name):
+    # as a RunConfig built in Python, not through from_sources, carries them
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+            RunConfig(**{name: value}).validate()
 
 
 def test_to_dict_uses_json_names():

@@ -312,10 +312,15 @@ _MISTYPED = [
     ("PCA-SVM", "scale", None, "must be a finite number"),
     ("PCA-SVM", "alphas", 7, "must be a numeric array of rank 1"),
     ("PCA-SVM", "alphas", [None], "must be a numeric array of rank 1"),
+    ("PCA-SVM", "alphas", ["0.5"], "must be a numeric array of rank 1"),
+    ("PCA-SVM", "labels", [True, False], "must be a numeric array of rank 1"),
     ("PCA-SVM", "support_vectors", [[1.0], [1.0, 2.0]], "must be a numeric array of rank 2"),
+    ("PCA-SVM", "support_vectors", [[1.0, "2"]], "must be a numeric array of rank 2"),
     ("PCA-ANN", "b2", None, "must be a finite number"),
     ("PCA-ANN", "b2", [1], "must be a finite number"),
     ("PCA-ANN", "w1", "x", "must be a numeric array of rank 2"),
+    ("PCA-ANN", "w1", [[1.0, "2"]], "must be a numeric array of rank 2"),
+    ("PCA-ANN", "b1", [True, False], "must be a numeric array of rank 1"),
 ]
 
 
@@ -326,6 +331,60 @@ def test_from_dict_names_a_mistyped_model_field(bundles, pid, key, value, messag
     d["classifier"]["model"][key] = value
     with pytest.raises(ValueError, match=f"bundle field 'classifier.model.{key}' {message}"):
         PipelineModel.from_dict(d)
+
+
+_MODEL_KEYS = {
+    "PCA-SVM": ["kernel", "scale", "C", "bias", "support_vectors", "alphas", "labels"],
+    "PCA-ANN": ["activation", "w1", "b1", "w2", "b2"],
+}
+
+
+@pytest.mark.parametrize("pid", sorted(_MODEL_KEYS))
+def test_bundle_keys_keep_their_order(bundles, pid):
+    # the bundle's bytes follow this order, so a change to it changes the format
+    d = bundles[pid]
+    assert list(d) == ["version", "pipeline", "feature_kind", "block_grid", "bins",
+                       "affine", "classifier"]
+    assert list(d["affine"]) == ["weight", "offset"]
+    assert list(d["classifier"]) == ["type", "model"]
+    assert list(d["classifier"]["model"]) == _MODEL_KEYS[pid]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_ROUND_TRIPS = [("PCA-SVM", "kernel", "gaussian"), ("PCA-SVM", "kernel", "linear"),
+                ("PCA-ANN", "activation", "tansig"), ("PCA-ANN", "activation", "relu"),
+                ("VAF-SVM", "kernel", "gaussian")]
+
+
+@pytest.mark.parametrize("pid, knob, value", _ROUND_TRIPS,
+                         ids=[f"{p}-{v}" for p, _, v in _ROUND_TRIPS])
+def test_the_classifier_survives_the_bundle_round_trip(pid, knob, value, rng, small_grayscale,
+                                                       small_vaf, small_runconfig):
+    cfg = dataclasses.replace(small_runconfig, **{knob: value})
+    fm = small_vaf if pid == "VAF-SVM" else small_grayscale
+    model = _fit(pid, fm, cfg, ann_seed=6)
+    clf = model.classifier
+    d = json.loads(json.dumps(model.to_dict()))
+    back = PipelineModel.from_dict(d).classifier
+    if pid.endswith("SVM"):
+        assert back.kernel == clf.kernel and back.kernel.kind.value == value.upper()
+        assert _same_bits(back.C, clf.C) and _same_bits(back.bias, clf.bias)
+        for key in ("support_vectors", "alphas", "labels"):
+            assert _same_bits(getattr(back, key), getattr(clf, key))
+        probe = rng.normal(size=(3, clf.support_vectors.shape[1]))
+        assert np.array_equal(decision_batch(back, probe), decision_batch(clf, probe))
+    else:
+        assert back.activation is clf.activation and back.activation.value == value.upper()
+        for key in ("w1", "b1", "w2", "b2"):
+            assert _same_bits(getattr(back, key), getattr(clf, key))
+        probe = rng.normal(size=(3, clf.n_inputs))
+        assert np.array_equal(forward_batch(back, probe), forward_batch(clf, probe))
+    # the bundle has one version, at its top level
+    assert "version" not in d["classifier"] and "version" not in d["classifier"]["model"]
 
 
 def test_from_dict_rejects_a_non_object():

@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -233,22 +232,6 @@ def test_model_invariants():
     with pytest.raises(ValueError):  # length mismatch
         SvmModel(support_vectors=np.zeros((2, 1)), alphas=np.array([0.5]),
                  labels=np.array([1.0]), bias=0.0, kernel=LIN, C=1.0)
-
-
-def test_json_round_trip(rng):
-    X = rng.normal(size=(8, 2))
-    y = np.array([1.0, -1.0] * 4)
-    model = train_svm(X, y, C=1.0, kernel=GAUSS)
-    d = json.loads(json.dumps(model.to_dict()))
-    back = SvmModel.from_dict(d)
-    assert back.kernel == model.kernel
-    assert back.C == model.C and back.bias == model.bias
-    assert np.array_equal(back.support_vectors, model.support_vectors)
-    assert np.array_equal(back.alphas, model.alphas)
-    assert np.array_equal(back.labels, model.labels)
-    probe = rng.normal(size=(3, 2))
-    assert np.array_equal(decision_batch(back, probe), decision_batch(model, probe))
-    assert d["kernel"] == "GAUSSIAN" and "version" not in d
 
 
 def test_dual_objective_matches_definition(rng):
