@@ -9,16 +9,20 @@ slice only drives ANN early stopping; SVM training ignores it.
 Every fold refits standardization, PCA, and the classifier on its own
 training rows, so no test information leaks into fitted parameters.
 cross_validate hands fit_pipeline the whole feature matrix and the fold's
-training and validation row indices, and predict_matrix the test rows'
-indices. For the PCA pipelines it also builds one raw Gram X X^T per
-feature matrix (pca.raw_gram, without pca_prescale) and passes it to every
-fold's fit: each fold's PCA fit, and its validation and test rows, are
-read from that n x n matrix, so no fold gathers, centres or multiplies the
-m-wide rows. Its entry (i, j) depends on rows i and j only, so the fits
-stay independent of the test rows. VAF-SVM, and with pca_prescale the PCA
-pipelines, fit each fold in one blocked pass over X whose training-row
-products do not depend on the test rows either. Every fit scores its
-fold's test rows itself, and predict_matrix reads those scores back. So a
+training and validation row indices. For the PCA pipelines it also builds
+one raw Gram X X^T per feature matrix (pca.raw_gram, without
+pca_prescale) and passes it to every fold's fit: each fold's PCA fit, and
+its validation and test rows, are read from that n x n matrix, so no fold
+gathers, centres or multiplies the m-wide rows. Its entry (i, j) depends
+on rows i and j only, so the fits stay independent of the test rows.
+VAF-SVM, and with pca_prescale the PCA pipelines, fit each fold in one
+blocked pass over X whose training-row products do not depend on the test
+rows either.
+
+Every fit scores its fold's test rows itself, as its held-out rows, and
+keeps their scores in ascending row order, the order of the fold's sorted
+test indices. cross_validate labels the test rows from those scores, so
+no fold scores them again through the bundle path (predict_matrix). So a
 fold's train_time_s includes its test-row scoring, and
 prediction_obs_per_s divides the test rows by the time the fits spent
 scoring them from the inner products they had read (the pass that read
@@ -50,10 +54,10 @@ import numpy as np
 
 from .config import RunConfig
 from .features import FeatureKind, build_feature_matrix
-from .labels import VALID_LABELS, AD, HC
+from .labels import VALID_LABELS, AD, HC, from_sign
 from .pca import raw_gram
-from .pipeline import (PIPELINES, canonical_pipeline, fit_pipeline,
-                       pipeline_feature_kind, predict_matrix)
+from .pipeline import PIPELINES, canonical_pipeline, fit_pipeline, pipeline_feature_kind
+from .pipeline import predict_matrix  # not called here; perfbench/tracing.py wraps this name
 
 
 class EvalError(Exception):
@@ -350,9 +354,11 @@ def cross_validate(manifest_path, pipelines, cfg: RunConfig) -> list[EvalReport]
                 pca_retained = model.pca_retained
                 pca_variance = model.pca_cumulative_variance
                 identity = model.identity_kernel
-                predicted, _ = predict_matrix(model, X, rows=sp.test)
-                # the test rows are the fit's held-out rows, which it scored
-                pred_time += model.held_out[3]
+                # the test rows are the fit's held-out rows, which it
+                # scored in ascending order, the order of sp.test
+                test_scores, seconds = model.held_out
+                predicted = [from_sign(s) for s in test_scores]
+                pred_time += seconds
                 # drop the fold's model now; on VAF features its m-wide
                 # arrays would otherwise stay live through the next fit
                 del model

@@ -36,14 +36,12 @@ So every fit ends its n-space work itself: it scores the rows of X that
 are neither training nor validation rows, the held-out rows, inside the
 fit in one batch, in ascending row order, and the model keeps their scores
 (held_out), with the time that scoring took. For a cross-validation fold
-those are its test rows.
-predict_matrix reads rows of the fit's own X from those scores, and sends
-every other row through the bundle's one affine front end.
+those are its test rows, and cross_validate reads their scores there.
+predict_matrix is the bundle path only: it sends the rows it is given
+through the bundle's one affine front end and its classifier.
 
 No stage writes into the caller's X, and a fit that refers to X needs it
-unchanged until its model is dropped. predict_matrix takes the same rows
-argument, so scoring rows that the fit did not score gathers them at most
-once.
+unchanged until its model is dropped.
 
 This module alone knows the bundle format. PipelineModel.to_dict and
 from_dict write and read every field, the classifier's too (svm.py and
@@ -127,12 +125,12 @@ class PipelineModel:
 
     pca_retained and pca_cumulative_variance describe a PCA fit,
     identity_kernel says whether a VAF-SVM fit's training kernel was
-    exactly the identity, and held_out is (X, positions, scores, seconds):
-    the decision scores of the rows of the fit's X at the ascending
-    positions, which the fit read and scored although it neither trained
-    nor validated on them, and the wall time of that scoring. They are None
-    where they do not apply and for loaded bundles, and they are not in the
-    bundle.
+    exactly the identity, and held_out is (scores, seconds): the decision
+    scores, in ascending row order, of the rows of the fit's X that it read
+    and scored although it neither trained nor validated on them, and the
+    wall time of that scoring. They are None where they do not apply (a fit
+    with no held-out rows, as `train` makes) and for loaded bundles, and
+    they are not in the bundle.
     """
 
     pipeline: str
@@ -145,7 +143,7 @@ class PipelineModel:
     pca_retained: int | None = None
     pca_cumulative_variance: float | None = None
     identity_kernel: bool | None = None
-    held_out: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
+    held_out: tuple[np.ndarray, float] | None = None
 
     @cached_property
     def _pair(self) -> tuple[np.ndarray, np.ndarray]:
@@ -210,6 +208,14 @@ class PipelineModel:
         if offset.shape != weight.shape[-1:]:
             raise ValueError(f"bundle field 'affine' has a {weight.shape} weight "
                              f"and a {offset.shape} offset that do not compose")
+        if isinstance(classifier, ann.AnnModel):
+            width = classifier.n_inputs
+        else:
+            # an SVM that keeps no support vector scores rows of any width
+            width = classifier.support_vectors.shape[1] if classifier.alphas.size else offset.size
+        if offset.size != width:
+            raise ValueError(f"bundle field 'affine' has {offset.size} outputs, "
+                             f"but the classifier takes {width} inputs")
         # the layout of a fitted W: X @ W on F- and C-order weights can
         # differ in the last bits, and a loaded bundle must score as fitted
         weight = np.asfortranarray(weight)
@@ -302,10 +308,14 @@ def _array_field(value, field: str, ndims: tuple[int, ...]) -> np.ndarray:
 
 def _number_field(value, field: str) -> float:
     """A field that must be a finite JSON number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not np.isfinite(value):
-        raise ValueError(f"bundle field '{field}' must be a finite number, got {value!r}")
-    return float(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:       # an integer too large for a float
+            number = np.inf
+        if np.isfinite(number):
+            return number
+    raise ValueError(f"bundle field '{field}' must be a finite number, got {value!r}")
 
 
 def _write_json(fh, value) -> None:
@@ -336,28 +346,6 @@ def _row_indices(rows) -> np.ndarray | None:
     if rows.ndim != 1 or rows.dtype.kind not in "iu":
         raise ValueError("rows must be a 1-D array of integer row indices")
     return rows
-
-
-def _gather(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The rows of X that the integer indices rows select, as a new float64
-    array. Each row is upcast as it is copied, so float32 rows leave no
-    float32 copy of them behind."""
-    Z = np.empty((rows.size, X.shape[1]))
-    for i, r in enumerate(rows):
-        Z[i] = X[r]
-    return Z
-
-
-def _affine(X: np.ndarray, W: np.ndarray, offset: np.ndarray,
-            rows: np.ndarray | None) -> np.ndarray:
-    """The composed front end, x W + b (x * w + b for VAF-SVM), on the rows
-    of X that the integer indices rows select, or on every row; X is never
-    written. The float64 W makes the product float64 for float32 rows."""
-    if rows is not None:
-        X = _gather(X, rows)
-    Z = X @ W if W.ndim == 2 else X * W
-    Z += offset
-    return Z
 
 
 def _row_products(X: np.ndarray, train: np.ndarray, others: np.ndarray,
@@ -406,8 +394,11 @@ def _row_products(X: np.ndarray, train: np.ndarray, others: np.ndarray,
 def _zscored(X: np.ndarray, rows: np.ndarray, means: np.ndarray,
              sigmas: np.ndarray) -> np.ndarray:
     """(X[rows] - means) / sigmas as a C-order float64 array, scaled as
-    standardize scales the training rows."""
-    Z = _gather(X, rows)
+    standardize scales the training rows. Each row is upcast as it is
+    copied, so float32 rows leave no float32 copy of them behind."""
+    Z = np.empty((rows.size, X.shape[1]))
+    for i, r in enumerate(rows):
+        Z[i] = X[r]
     Z -= means
     Z /= sigmas
     return Z
@@ -448,8 +439,8 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     written.
 
     The fit scores the other rows of X, the held-out rows, from the inner
-    products it has read. The model keeps those scores, and the time that
-    scoring took, as held_out, and predict_matrix reads them.
+    products it has read. The model keeps those scores, in ascending row
+    order, and the time that scoring took, as held_out.
     """
     pid = canonical_pipeline(pipeline)
     X = np.atleast_2d(feature_rows(X))
@@ -517,8 +508,7 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     held_out = None
     if held.size:
         t0 = time.perf_counter()
-        held_scores = score_held()
-        held_out = (X, held, held_scores, time.perf_counter() - t0)
+        held_out = (score_held(), time.perf_counter() - t0)
 
     grayscale = kind is FeatureKind.GRAYSCALE
     return PipelineModel(
@@ -536,27 +526,20 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     )
 
 
-def predict_matrix(model: PipelineModel, X: np.ndarray,
-                   rows: np.ndarray | None = None) -> tuple[list[str], np.ndarray]:
-    """Labels and decision scores for raw feature rows (pre-PCA space), or
-    for the rows of X that the integer indices rows select; X is never
-    written. Rows of the very X that the model was fit on, which the fit
-    scored as held-out rows, are read from those scores; every other row
-    goes through the bundle's front end and classifier."""
+def predict_matrix(model: PipelineModel, X: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Labels and decision scores for raw feature rows (pre-PCA space),
+    through the bundle's front end, x W + b (x * w + b for VAF-SVM), and its
+    classifier; X is never written. The float64 W makes the product float64
+    for float32 rows."""
     X = np.atleast_2d(feature_rows(X))
     if X.shape[1] != model.n_features:
         raise ValueError(
             f"X has {X.shape[1]} features, the bundle expects {model.n_features}"
         )
-    rows = _row_indices(rows)
-    scores = None
-    if rows is not None and model.held_out is not None and X is model.held_out[0]:
-        _, held, held_scores, _ = model.held_out
-        at = np.minimum(np.searchsorted(held, rows), held.size - 1)
-        if np.array_equal(held[at], rows):
-            scores = held_scores[at]
-    if scores is None:
-        scores = _decision(model.classifier, _affine(X, model.weight, model.offset, rows))
+    W = model.weight
+    Z = X @ W if W.ndim == 2 else X * W
+    Z += model.offset
+    scores = _decision(model.classifier, Z)
     return [from_sign(s) for s in scores], scores
 
 

@@ -120,7 +120,7 @@ def test_validation_slice_feeds_ann_early_stopping(small_grayscale,
     assert history["val_sse"] is not None
     # the validation rows go through the same composed front end as test
     # rows, so the kept network's SSE on them is the one early stopping saw
-    _, scores = predict_matrix(model, fm.values, rows=val)
+    _, scores = predict_matrix(model, fm.values[val])
     targets = np.array([to_sign(l) for l in fm.labels[:4]])
     sse = float(np.sum((scores - targets) ** 2))
     assert np.isclose(sse, history["val_sse"][history["early_stop_epoch"]],
@@ -260,10 +260,10 @@ def test_fold_front_ends_from_the_cohort_gram_match_a_staged_reference(
         # test rows, through the scores that the fit gave them
         model = fit_pipeline("PCA-SVM", X, labels, cfg, rows=sp.train, val_rows=sp.val,
                              gram=G)
-        labels_fit, got = predict_matrix(model, X, rows=sp.test)
+        got = model.held_out[0]
         ref = decision_batch(model.classifier, want["test"])
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
-        assert labels_fit == predict_matrix(model, X[sp.test])[0]
+        assert [from_sign(s) for s in got] == predict_matrix(model, X[sp.test])[0]
 
 
 def _digest(model) -> str:
@@ -303,8 +303,12 @@ def bundles(small_grayscale, small_runconfig):
             for pid in ("PCA-SVM", "PCA-ANN")}
 
 
+_HUGE = 10 ** 400     # a JSON integer too large for a float
+
 _MISTYPED = [
     ("PCA-SVM", "bias", None, "must be a finite number"),
+    ("PCA-SVM", "bias", _HUGE, "must be a finite number"),
+    ("PCA-SVM", "scale", _HUGE, "must be a finite number"),
     ("PCA-SVM", "bias", [1], "must be a finite number"),
     ("PCA-SVM", "C", None, "must be a finite number"),
     ("PCA-SVM", "C", [1], "must be a finite number"),
@@ -318,6 +322,7 @@ _MISTYPED = [
     ("PCA-SVM", "support_vectors", [[1.0, "2"]], "must be a numeric array of rank 2"),
     ("PCA-ANN", "b2", None, "must be a finite number"),
     ("PCA-ANN", "b2", [1], "must be a finite number"),
+    ("PCA-ANN", "b2", _HUGE, "must be a finite number"),
     ("PCA-ANN", "w1", "x", "must be a numeric array of rank 2"),
     ("PCA-ANN", "w1", [[1.0, "2"]], "must be a numeric array of rank 2"),
     ("PCA-ANN", "b1", [True, False], "must be a numeric array of rank 1"),
@@ -325,11 +330,27 @@ _MISTYPED = [
 
 
 @pytest.mark.parametrize("pid, key, value, message", _MISTYPED,
-                         ids=[f"{p}-{k}={json.dumps(v)}" for p, k, v, _ in _MISTYPED])
+                         ids=[f"{p}-{k}=" + ("10**400" if v is _HUGE else json.dumps(v))
+                              for p, k, v, _ in _MISTYPED])
 def test_from_dict_names_a_mistyped_model_field(bundles, pid, key, value, message):
     d = json.loads(json.dumps(bundles[pid]))
     d["classifier"]["model"][key] = value
     with pytest.raises(ValueError, match=f"bundle field 'classifier.model.{key}' {message}"):
+        PipelineModel.from_dict(d)
+
+
+@pytest.mark.parametrize("pid", ["PCA-SVM", "PCA-ANN"])
+def test_from_dict_refuses_a_front_end_that_does_not_fit_its_classifier(bundles, pid):
+    # W and b gain a column that the classifier has no input for: they
+    # still compose, and only scoring a row would fail, without naming
+    # the field
+    d = json.loads(json.dumps(bundles[pid]))
+    affine = d["affine"]
+    k = len(affine["offset"])
+    affine["weight"] = [row + [0.0] for row in affine["weight"]]
+    affine["offset"] = affine["offset"] + [0.0]
+    with pytest.raises(ValueError, match=f"bundle field 'affine' has {k + 1} outputs, "
+                                         f"but the classifier takes {k} inputs"):
         PipelineModel.from_dict(d)
 
 
@@ -439,8 +460,8 @@ def test_a_vaf_fold_fit_matches_the_staged_fit_on_a_kernel_that_is_not_the_ident
         want = decision_batch(ref, (X[sp.test] - means) / sigmas)
         model = fit_pipeline("VAF-SVM", X, labels, cfg, rows=sp.train, val_rows=sp.val)
         assert model.identity_kernel is False
-        got_labels, got = predict_matrix(model, X, rows=sp.test)
-        assert got_labels == [from_sign(s) for s in want]
+        got = model.held_out[0]
+        assert [from_sign(s) for s in got] == [from_sign(s) for s in want]
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
@@ -453,10 +474,10 @@ _SCORED = [pytest.param(pid, False, True, id=pid) for pid in PIPELINES] + [
 def test_only_the_rows_that_a_fit_scored_skip_the_bundle_path(pid, prescale, cohort_gram,
                                                               small_grayscale, small_vaf,
                                                               small_runconfig):
-    # a fold fit scores its test rows itself, whether it reads the cohort
-    # Gram or makes its own pass over X, and predict_matrix reads them
-    # back; training and validation rows of the same X take the bundle
-    # path, as rows of any other matrix do
+    # a fold fit scores its test rows itself, in ascending row order,
+    # whether it reads the cohort Gram or makes its own pass over X, and
+    # cross_validate labels them from those scores instead of sending them
+    # through the bundle path; the two must agree
     fm = small_vaf if pid == "VAF-SVM" else small_grayscale
     X, labels = fm.values, np.asarray(fm.labels, dtype=object)
     cfg = dataclasses.replace(small_runconfig, kernel_scale=_median_scale(X),
@@ -464,17 +485,14 @@ def test_only_the_rows_that_a_fit_scored_skip_the_bundle_path(pid, prescale, coh
     sp = stratified_split(labels, 4, 0.10, seed=0)[1]
     model = fit_pipeline(pid, X, labels, cfg, ann_seed=2, rows=sp.train, val_rows=sp.val,
                          gram=raw_gram(X) if cohort_gram else None)
-    assert np.array_equal(model.held_out[1], sp.test)
-    assert model.held_out[3] > 0.0      # the time the fit spent scoring them
-    for rows in (sp.train, sp.val):
-        labels_a, scores_a = predict_matrix(model, X, rows=rows)
-        labels_b, scores_b = predict_matrix(model, X[rows])
-        assert labels_a == labels_b
-        assert np.array_equal(scores_a, scores_b)
-    labels_a, scores_a = predict_matrix(model, X, rows=sp.test)
-    labels_b, scores_b = predict_matrix(model, X[sp.test])
-    assert labels_a == labels_b
-    assert np.max(np.abs(scores_a - scores_b)) <= 1e-9 * np.max(np.abs(scores_b))
+    held_scores, seconds = model.held_out
+    assert seconds > 0.0      # the time the fit spent scoring them
+    want_labels, want = predict_matrix(model, X[sp.test])
+    assert held_scores.shape == want.shape
+    assert [from_sign(s) for s in held_scores] == want_labels
+    assert np.max(np.abs(held_scores - want)) <= 1e-9 * np.max(np.abs(want))
+    # a fit with no held-out rows, as `train` makes, keeps no scores
+    assert fit_pipeline(pid, X, labels, cfg, ann_seed=2).held_out is None
 
 
 def _fold(fm):
@@ -526,7 +544,6 @@ def test_fit_pipeline_rejects_rows_that_are_not_indices(small_grayscale, small_r
     fm = small_grayscale
     mask = np.zeros(fm.values.shape[0], dtype=bool)
     mask[:10] = True
-    model = _fit("PCA-SVM", fm, small_runconfig)
     for bad in (mask, np.arange(10.0), np.arange(10).reshape(2, 5)):
         with pytest.raises(ValueError, match="integer row indices"):
             fit_pipeline("PCA-SVM", fm.values, fm.labels, small_runconfig, rows=bad)
@@ -534,22 +551,6 @@ def test_fit_pipeline_rejects_rows_that_are_not_indices(small_grayscale, small_r
             with pytest.raises(ValueError, match="integer row indices"):
                 fit_pipeline(pid, fm.values, fm.labels, small_runconfig,
                              rows=np.arange(10, 20), val_rows=bad)
-        with pytest.raises(ValueError, match="integer row indices"):
-            predict_matrix(model, fm.values, rows=bad)
-
-
-@pytest.mark.parametrize("pid", PIPELINES)
-def test_predict_matrix_on_rows_equals_predict_on_the_sliced_rows(pid, small_grayscale,
-                                                                  small_vaf,
-                                                                  small_runconfig):
-    fm = small_vaf if pid == "VAF-SVM" else small_grayscale
-    model = _fit(pid, fm, small_runconfig, ann_seed=2)
-    X = _read_only(fm.values)
-    idx = np.array([7, 0, 3, 3, X.shape[0] - 1])
-    labels_a, scores_a = predict_matrix(model, X, rows=_read_only(idx))
-    labels_b, scores_b = predict_matrix(model, X[idx])
-    assert labels_a == labels_b
-    assert np.array_equal(scores_a, scores_b)
 
 
 def _wide_fold_fit(pid, cfg, rng, dtype, val_rows=None):
@@ -640,10 +641,8 @@ def test_a_fit_on_float32_rows_equals_the_fit_on_their_float64_upcast(
     models = [fit_pipeline(pid, X, labels, cfg, ann_seed=2, rows=sp.train,
                            val_rows=sp.val, gram=raw_gram(X) if cohort_gram else None)
               for X in (X32, X64)]
-    assert np.array_equal(models[0].held_out[2], models[1].held_out[2])
+    assert np.array_equal(models[0].held_out[0], models[1].held_out[0])
     assert models[0].to_dict() == models[1].to_dict()
     for rows in (sp.train, sp.val):
-        got = [predict_matrix(model, X, rows=rows)[1] for model, X in zip(models, (X32, X64))]
-        assert np.array_equal(*got)
         got = [predict_matrix(model, X[rows])[1] for model, X in zip(models, (X32, X64))]
         assert np.array_equal(*got)
