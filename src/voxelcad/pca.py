@@ -96,12 +96,13 @@ def feature_rows(X) -> np.ndarray:
     return X if X.dtype == np.float32 else X.astype(np.float64, copy=False)
 
 
-def column_blocks(X: np.ndarray, rows: np.ndarray | None = None):
+def column_blocks(X: np.ndarray, rows: np.ndarray | None = None, start: int = 0):
     """Yield (a, b, block): columns [a, b) of X, or of the rows that the
     integer indices rows select, as a float64 (n, b - a) array. Blocks are
     _BLOCK_COLS wide and the last takes the remainder, so no block is
     narrower: a narrow product could fall to another BLAS kernel, which
-    sums in another order.
+    sums in another order. The bounds depend on the width of X alone, and
+    start, one of them, skips the blocks before it.
 
     A float64 X yields views of X (rows None, not to be written) or a
     gathered copy of each block. Any other X (float32 rows) is upcast into
@@ -111,7 +112,7 @@ def column_blocks(X: np.ndarray, rows: np.ndarray | None = None):
     the same values either way."""
     m = X.shape[1]
     starts = list(range(0, max(m - _BLOCK_COLS, 0) + 1, _BLOCK_COLS))
-    bounds = list(zip(starts, starts[1:] + [m]))
+    bounds = [(a, b) for a, b in zip(starts, starts[1:] + [m]) if a >= start]
     if X.dtype == np.float64:
         for a, b in bounds:
             yield a, b, (X[:, a:b] if rows is None else X[rows, a:b])

@@ -15,22 +15,29 @@ for VAF-SVM, and prediction applies it in a single step.
 
 A fit reads the m-wide rows of X at most once. Every PCA fit takes
 pca.fit_pca's Gram route, which is exact for any shape (kernel PCA with a
-linear kernel), and VAF-SVM needs only the kernel of its z-scored rows; so
-both need only inner products of the rows. A fit reads them from the raw
-Gram that cross-validation builds once over every row of X (pca.raw_gram)
-and passes as gram, or else from one blocked pass over X (_row_products).
-The pass gathers one pca.column_blocks block at a time, training rows
-first, transforms it in place as the fit needs (not at all for PCA, times
-1/sigma with pca_prescale, to (x - mu) / sigma for VAF-SVM, mu and sigma
-from the training rows), and sums only the products with the training
-rows and the other rows' squared norms. VAF-SVM skips the validation rows,
-which SVM training ignores. VAF rows are float32, the volumes' own type,
-and column_blocks upcasts each gathered block into one reused float64
-buffer, so no fit holds an m-wide float64 copy of them; float32 -> float64
-is exact, so every number is the one float64 rows would give. No fit keeps
-a copy of the rows: PCA's W is mapped back from the training rows, and
-VAF-SVM's scale, offset and z-scored support vectors are formed from X,
-only when read, to write a bundle or to score rows that the fit did not.
+linear kernel), and VAF-SVM needs only the kernel of its z-scored rows;
+so both need only inner products of the rows. A fit reads them from the
+raw Gram that cross-validation builds once over every row of X
+(pca.raw_gram) and passes as gram, or else from one blocked pass over X
+(_row_products). The pass gathers one pca.column_blocks block at a time,
+training rows first, transforms it in place as the fit needs (not at all
+for PCA, times 1/sigma with pca_prescale, to (x - mu) / sigma for
+VAF-SVM, mu and sigma from the training rows), and sums only the products
+with the training rows and the other rows' squared norms. VAF-SVM skips
+the validation rows, which SVM training ignores. With a Gaussian kernel
+its pass stops early once the partial distances prove that every kernel
+entry off the training diagonal underflows to exactly 0.0, as at the
+paper's scale: the kernel, and so the whole fit, is then the full pass's
+bit for bit, and the unread columns' mu and sigma are formed from the
+training rows only if a bundle needs them. This speeds up only an
+identity kernel, a vacuous fit. VAF rows are float32, the volumes' own
+type, and column_blocks upcasts each gathered block into one reused
+float64 buffer, so no fit holds an m-wide float64 copy of them; the
+upcast is exact, so every number is the one float64 rows would give. No
+fit keeps a copy of the rows: PCA's W is mapped back from the training
+rows, and VAF-SVM's scale, offset and z-scored support vectors are formed
+from X, only when read, to write a bundle or to score rows that the fit
+did not.
 
 So every fit ends its n-space work itself: it scores the rows of X that
 are neither training nor validation rows, the held-out rows, inside the
@@ -57,6 +64,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -259,6 +267,10 @@ def _read_classifier(clf: dict) -> svm.SvmModel | ann.AnnModel:
         # only a linear kernel has no scale
         scale = (svm.KernelSpec.scale if kind is svm.KernelKind.LINEAR and model["scale"] is None
                  else number("scale"))
+        try:
+            kernel = svm.KernelSpec(kind, scale)
+        except ValueError as err:
+            raise ValueError(f"bundle field '{path}.scale': {err}") from None
         # a model that keeps no support vector saves them as [], which
         # scores its bias whatever the width of the rows
         sv = model["support_vectors"]
@@ -268,7 +280,7 @@ def _read_classifier(clf: dict) -> svm.SvmModel | ann.AnnModel:
             alphas=array("alphas", (1,)),
             labels=array("labels", (1,)),
             bias=number("bias"),
-            kernel=svm.KernelSpec(kind, scale),
+            kernel=kernel,
             C=number("C"),
         )
     if clf["type"] == "ANN":
@@ -293,17 +305,34 @@ def _object_field(value, field: str) -> dict:
 def _array_field(value, field: str, ndims: tuple[int, ...]) -> np.ndarray:
     """A field read as a finite float64 array with one of the given ranks.
     Only JSON numbers count: numpy's own reading of the nested lists must
-    give integers or floats, so strings and booleans are refused."""
-    try:
-        arr = np.array(value)
-    except (TypeError, ValueError):
-        arr = None
+    give integers or floats, so strings are refused, and so is any boolean,
+    which numpy would read as 0 or 1 beside a number."""
+    arr = None
+    if not _holds_bool(value):
+        try:
+            arr = np.array(value)
+        except (TypeError, ValueError):
+            pass
     if arr is not None and arr.dtype.kind in "iuf" and arr.ndim in ndims:
         arr = arr.astype(np.float64, copy=False)
         if np.isfinite(arr).all():
             return arr
     raise ValueError(f"bundle field '{field}' must be a numeric array of rank "
                      f"{' or '.join(map(str, ndims))}, all finite")
+
+
+def _holds_bool(value) -> bool:
+    """Whether value, a list of them, or a list of lists holds a JSON true
+    or false: the ranks a bundle array may have. One pass in C per level."""
+    if not isinstance(value, list):
+        return isinstance(value, bool)
+    types = set(map(type, value))
+    if list in types:
+        try:
+            types.update(map(type, chain.from_iterable(value)))
+        except TypeError:       # lists beside numbers, which numpy refuses
+            pass
+    return bool in types
 
 
 def _number_field(value, field: str) -> float:
@@ -348,9 +377,12 @@ def _row_indices(rows) -> np.ndarray | None:
     return rows
 
 
+_UNDERFLOW = 746.0    # np.exp(-x) is exactly 0.0 for every x past 745.14
+
+
 def _row_products(X: np.ndarray, train: np.ndarray, others: np.ndarray,
-                  transform: str | None = None):
-    """One pass over the columns of X for a fit: (G, norms, means, sigmas).
+                  transform: str | None = None, underflow_scale: float | None = None):
+    """One pass over the columns of X for a fit: (G, norms, stats).
 
     The rows of X that the integer indices train select, then those that
     others select, are gathered one pca.column_blocks block at a time and
@@ -361,34 +393,109 @@ def _row_products(X: np.ndarray, train: np.ndarray, others: np.ndarray,
     the last bits). With z the transformed rows, G[i, j] = z_i . z_j over
     every gathered row i and training row j, and norms[i] = z_i . z_i. The
     training rows' G is summed as its own product (numpy's syrk, so exactly
-    symmetric), and does not depend on the other rows. means and sigmas
-    are None where the transform does not use them, so the plain pass
-    allocates nothing m-wide."""
+    symmetric), and does not depend on the other rows. stats() returns
+    (means, sigmas), None where the transform does not use them, so the
+    plain pass allocates nothing m-wide.
+
+    underflow_scale s, given for a Gaussian kernel on the z-scored rows,
+    lets the pass stop early. After blocks 1, 2, 4, 8, ... it takes the
+    partial squared distance d_k = n_i + n_j - 2 G_ij, as
+    svm.kernel_values computes it, for every training pair i != j and
+    every other row i against every training row j. The remaining blocks
+    only add non-negative terms, so once every d_k is past
+    _UNDERFLOW * s^2 with room for rounding, every such exp(-d / s^2) of
+    the full pass is exactly 0.0, and the pass stops. G and norms then
+    hold the partial sums; the training norms are still G's diagonal, so
+    kernel_values gives the same kernel as the full pass, bit for bit:
+    the identity on the training rows and 0 for every other row. The
+    unread columns' means and sigmas are formed when stats() is first
+    called, by the same arithmetic on blocks of the training rows alone
+    (column_blocks has the same bounds for any rows), so they are the full
+    pass's bits too. This speeds up only a kernel that is exactly the
+    identity; it does not make such a fit any less vacuous.
+
+    The room for rounding, with m columns, t training rows, u = 2^-53 and
+    e = 4 (m + 1) u. For any rows i, j with exact norms a, b and exact
+    squared distance D, the computed n_i + n_j - 2 G_ij is within
+    e (a + b)^2 of D: each of its sums has m products, added over at most
+    m blocks in any order, and the three-term sum adds two roundings. So
+    the partial sums bound the exact partial distance D_k from below by
+    d_k - e_i, where e_i = e (sqrt(n_i (1 + 2e)) + sqrt(B))^2 takes the
+    computed partial norm n_i, and B = m t bounds every training norm:
+    each z-scored training column's squares sum to t - 1, to within
+    rounding, unless the squares of its deviations from the mean underflow
+    (float32 rows' nonzero deviations exceed 1e-100). A held-out row's
+    norm a has no such bound. If a <= 3 sqrt(B), the full pass errs by at
+    most 16 e B; otherwise D >= (a - b)^2 >= 4 a^2 / 9, so its error
+    e (a + b)^2 is at most 4 e D. Either way the full pass computes at
+    least (1 - 4 e) d_k - e_i - 16 e B, and the pass stops once that is at
+    least _UNDERFLOW * s^2 for every pair. The gap between 745.14 and
+    _UNDERFLOW absorbs the rounding of the test itself and of d / s^2."""
     m, t = X.shape[1], train.size
     order = np.concatenate([train, others])
     sigmas = None if transform is None else np.empty(m)
     means = np.empty(m) if transform == "zscore" else None
     G = np.zeros((order.size, t))
     norms = np.zeros(order.size)
-    for a, b, Xb in column_blocks(X, order):
+    read = m
+    for k, (a, b, Xb) in enumerate(column_blocks(X, order), 1):
         if transform is not None:
-            mu = Xb[:t].mean(axis=0)
-            if means is None:
-                sd = _sigmas(Xb[:t] - mu)
-            else:
-                means[a:b] = mu
-                Xb -= mu
-                sd = _sigmas(Xb[:t])
-            sigmas[a:b] = sd
-            Xb *= 1.0 / sd
+            _standardize_block(Xb, t, a, b, means, sigmas)
         # only Xb refers to the block, so it is freed once the next one
         # is gathered
         G[:t] += Xb[:t] @ Xb[:t].T
         G[t:] += Xb[t:] @ Xb[:t].T
         norms[t:] += np.einsum("ij,ij->i", Xb[t:], Xb[t:])
+        if (underflow_scale is not None and k & (k - 1) == 0 and b < m
+                and _kernel_underflows(G, norms, m, underflow_scale)):
+            read = b
+            break
     # the training norms are the Gram's diagonal, so every k(z, z) is exact
     norms[:t] = G.diagonal()
-    return G, norms, means, sigmas
+
+    def stats():
+        nonlocal read
+        if read < m:
+            for a, b, Xb in column_blocks(X, train, start=read):
+                _standardize_block(Xb, t, a, b, means, sigmas)
+            read = m
+        return means, sigmas
+    return G, norms, stats
+
+
+def _standardize_block(Xb: np.ndarray, t: int, a: int, b: int,
+                       means: np.ndarray | None, sigmas: np.ndarray) -> None:
+    """Set sigmas[a:b], and means[a:b] unless means is None, from the first
+    t rows of the gathered block Xb of columns [a, b), and transform Xb in
+    place: to (x - means) / sigmas, or times 1/sigmas without means."""
+    mu = Xb[:t].mean(axis=0)
+    if means is None:
+        sd = _sigmas(Xb[:t] - mu)
+    else:
+        means[a:b] = mu
+        Xb -= mu
+        sd = _sigmas(Xb[:t])
+    sigmas[a:b] = sd
+    Xb *= 1.0 / sd
+
+
+def _kernel_underflows(G: np.ndarray, norms: np.ndarray, m: int, scale: float) -> bool:
+    """Whether the partial sums G and norms[t:] of _row_products prove that
+    every Gaussian kernel entry off the training diagonal underflows to 0.0
+    on the full pass (see _row_products for the argument). It may set
+    norms[:t] to G's diagonal, as the pass does at its end."""
+    t = G.shape[1]
+    limit = _UNDERFLOW * (scale * scale)
+    # one training pair first: the usual answer, cheaply
+    if t > 1 and not G[0, 0] + G[1, 1] - 2.0 * G[1, 0] >= limit:
+        return False
+    norms[:t] = G.diagonal()
+    sq = norms[:, None] + norms[None, :t] - 2.0 * G
+    np.fill_diagonal(sq[:t], np.inf)
+    nearest = sq.min(axis=1, initial=np.inf)
+    e, bound = 4.0 * (m + 1) * 2.0 ** -53, float(m * t)
+    room = e * (np.sqrt(norms * (1.0 + 2.0 * e)) + np.sqrt(bound)) ** 2 + 16.0 * e * bound
+    return bool(np.all((1.0 - 4.0 * e) * nearest - room >= limit))
 
 
 def _zscored(X: np.ndarray, rows: np.ndarray, means: np.ndarray,
@@ -460,15 +567,20 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
 
     if pid == "VAF-SVM":
         kernel = cfg.kernel_spec()
-        G, norms, means, sigmas = _row_products(X, train, held, "zscore")
+        gaussian = kernel.kind is svm.KernelKind.GAUSSIAN
+        G, norms, stats = _row_products(X, train, held, "zscore",
+                                        kernel.scale if gaussian else None)
         K = svm.kernel_values(kernel, G, norms, norms[:train.size])
         K_train = K[:train.size]
         alpha, bias = svm.smo(K_train, targets, cfg.C, cfg.svm_tol)
         identity = bool(np.array_equal(K_train, np.eye(train.size)))
         keep = alpha > svm.SV_EPS
         sv = train[keep]
-        affine = lambda: (1.0 / sigmas, -(means / sigmas))
-        classifier = svm.SvmModel(support_vectors=lambda: _zscored(X, sv, means, sigmas),
+
+        def affine():
+            means, sigmas = stats()
+            return 1.0 / sigmas, -(means / sigmas)
+        classifier = svm.SvmModel(support_vectors=lambda: _zscored(X, sv, *stats()),
                                   alphas=alpha[keep], labels=targets[keep], bias=bias,
                                   kernel=kernel, C=cfg.C)
         score_held = lambda: svm.decision_kernel(classifier, K[train.size:, keep])
@@ -479,8 +591,9 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         v = n if val_rows is None else n + val_rows.size
         others = held if val_rows is None else np.concatenate([val_rows, held])
         if gram is None or cfg.pca_prescale:
-            G, _, _, sd = _row_products(X, train, others,
+            G, _, stats = _row_products(X, train, others,
                                         "scale" if cfg.pca_prescale else None)
+            sd = stats()[1]
         else:
             G, sd = gram[np.ix_(np.concatenate([train, others]), train)], None
         pca_model = fit_pca(X, cum_threshold=cfg.pca_threshold, method="gram", rows=rows,

@@ -62,8 +62,12 @@ class KernelSpec:
     scale: float = 2.8
 
     def __post_init__(self):
-        if self.kind is KernelKind.GAUSSIAN and not self.scale > 0:
-            raise ValueError("Gaussian kernel scale must be > 0")
+        # the kernel divides by s^2, which must neither underflow to 0 (0/0
+        # on the diagonal) nor overflow (an all-ones kernel)
+        if self.kind is KernelKind.GAUSSIAN and not (
+                self.scale > 0 and 0.0 < self.scale * self.scale < np.inf):
+            raise ValueError(f"Gaussian kernel scale must be > 0 and its square a positive "
+                             f"finite float (about 1.6e-162 to 1.3e154), got {self.scale!r}")
 
 
 def kernel_values(k: KernelSpec, AB: np.ndarray, na: np.ndarray,

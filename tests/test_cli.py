@@ -89,6 +89,20 @@ def test_domain_errors_exit_1(tmp_path, small_dataset, capsys):
     assert "--pca" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", ["1e-170", "1e160"])
+def test_a_kernel_scale_whose_square_is_not_a_positive_finite_float_exits_1(
+        scale, tmp_path, small_dataset, capsys):
+    # 1e-170 squares to 0.0 (a 0/0 kernel diagonal, which SMO reported as
+    # a stalled pair) and 1e160 to inf (a kernel of ones, silently)
+    manifest, _ = small_dataset
+    code = dispatch(["train", "--manifest", str(manifest), "--model", "svm", "--no-pca",
+                     "--model-out", str(tmp_path / "m.json"), "--kernel-scale", scale])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "square a positive finite float (about 1.6e-162 to 1.3e154)" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_extract_flags_override_config(tmp_path, small_dataset, capsys):
     manifest, _ = small_dataset
     cfg_path = tmp_path / "cfg.json"

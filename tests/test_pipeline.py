@@ -15,11 +15,12 @@ from voxelcad.manifest import read_manifest
 from voxelcad.pca import (_fix_signs, center, contribution_rates, fit_pca, project,
                           raw_gram, select_components)
 from voxelcad.pca import map_back as pca_map_back
+from voxelcad import pipeline
 from voxelcad.pipeline import (PIPELINES, PipelineModel,
                                canonical_pipeline, fit_pipeline,
                                pipeline_feature_kind, predict_matrix,
                                predict_volume, standardize)
-from voxelcad.svm import SvmModel, decision_batch, gram_matrix, train_svm
+from voxelcad.svm import SvmModel, decision_batch, gram_matrix, kernel_values, train_svm
 from voxelcad.volume import load_volume
 
 
@@ -326,6 +327,10 @@ _MISTYPED = [
     ("PCA-ANN", "w1", "x", "must be a numeric array of rank 2"),
     ("PCA-ANN", "w1", [[1.0, "2"]], "must be a numeric array of rank 2"),
     ("PCA-ANN", "b1", [True, False], "must be a numeric array of rank 1"),
+    # numpy reads a boolean beside a number as 0 or 1
+    ("PCA-SVM", "alphas", [1.0, True], "must be a numeric array of rank 1"),
+    ("PCA-SVM", "support_vectors", [[1.0], [False]], "must be a numeric array of rank 2"),
+    ("PCA-ANN", "w1", [[0, 1.5, True]], "must be a numeric array of rank 2"),
 ]
 
 
@@ -646,3 +651,75 @@ def test_a_fit_on_float32_rows_equals_the_fit_on_their_float64_upcast(
     for rows in (sp.train, sp.val):
         got = [predict_matrix(model, X[rows])[1] for model, X in zip(models, (X32, X64))]
         assert np.array_equal(*got)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e160, -2.8])
+def test_from_dict_refuses_a_gaussian_scale_whose_square_is_not_a_positive_float(
+        bundles, scale):
+    # 1e-170 squares to 0.0, so the kernel's diagonal would be 0/0, and
+    # 1e160 squares to inf, which would make every kernel entry 1
+    d = json.loads(json.dumps(bundles["PCA-SVM"]))
+    d["classifier"]["model"]["scale"] = scale
+    with pytest.raises(ValueError, match="bundle field 'classifier.model.scale': Gaussian "
+                                         "kernel scale must be > 0 and its square a positive "
+                                         "finite float"):
+        PipelineModel.from_dict(d)
+
+
+_PASS_BLOCKS = 3    # column blocks of the rows of _wide_float32_fold
+
+
+@pytest.mark.parametrize("case", ["stops", "never stops", "some pairs underflow"])
+def test_the_vaf_svm_pass_stops_early_only_where_the_fit_keeps_every_bit(
+        case, rng, small_runconfig, monkeypatch):
+    # the pass may stop once every kernel entry off the training diagonal
+    # is proven to underflow to 0.0: the fit must then equal the full
+    # pass's bit for bit, with the unread columns' means and sigmas formed
+    # for the bundle. Where only some entries underflow it must not stop.
+    # One held-out row has a norm far past every training row's, which
+    # the test's rounding allowance must cover.
+    X, _, labels, sp = _wide_float32_fold(rng)
+    X[sp.test[0]] *= 1e6
+    Z, means, sigmas = standardize(X[sp.train])
+    sq = np.einsum("ij,ij->i", Z, Z)
+    d2 = (sq[:, None] + sq[None, :] - 2.0 * (Z @ Z.T))[np.triu_indices(sp.train.size, 1)]
+    scale = {"stops": 2.0, "never stops": np.sqrt(np.median(d2)),
+             "some pairs underflow": np.sqrt(np.median(d2) / 746.0)}[case]
+    cfg = dataclasses.replace(small_runconfig, kernel_scale=float(scale))
+
+    read = []
+    blocks = pipeline.column_blocks
+
+    def counted(*args, **kw):
+        for a, b, Xb in blocks(*args, **kw):
+            read.append((a, b))
+            yield a, b, Xb
+    monkeypatch.setattr(pipeline, "column_blocks", counted)
+    model = fit_pipeline("VAF-SVM", X, labels, cfg, rows=sp.train, val_rows=sp.val)
+    stopped = len(read) < _PASS_BLOCKS
+    model.to_dict()     # forms the unread columns' means and sigmas
+    assert sorted(read) == sorted(set(read)) and len(read) == _PASS_BLOCKS
+    assert stopped == (case == "stops")
+
+    # the reference: the same fit with the pass never stopped
+    monkeypatch.setattr(pipeline, "_kernel_underflows", lambda *args: False)
+    full = fit_pipeline("VAF-SVM", X, labels, cfg, rows=sp.train, val_rows=sp.val)
+    assert len(read) == 2 * _PASS_BLOCKS
+    assert _same_bits(model.held_out[0], full.held_out[0])
+    assert _same_bits(model.classifier.alphas, full.classifier.alphas)
+    assert _same_bits(model.classifier.bias, full.classifier.bias)
+    assert model.identity_kernel is full.identity_kernel is (case == "stops")
+    assert _digest(model) == _digest(full)
+    # the lazily formed columns are standardize's too
+    assert _same_bits(model.weight, 1.0 / sigmas) and _same_bits(model.offset, -(means / sigmas))
+
+    # what each scale means for the full pass's kernel off the diagonal,
+    # over every row, and over the training rows (the huge row's entries
+    # are 0 at any of these scales)
+    t = sp.train.size
+    G, norms, _ = pipeline._row_products(X, sp.train, np.sort(sp.test), "zscore")
+    K = kernel_values(cfg.kernel_spec(), G, norms, norms[:t])
+    off, off_train = K[~np.eye(*K.shape, dtype=bool)], K[:t][~np.eye(t, dtype=bool)]
+    zeros = np.count_nonzero(off_train == 0.0)
+    assert {"stops": not off.any(), "never stops": zeros == 0,
+            "some pairs underflow": 0 < zeros < off_train.size}[case]

@@ -37,6 +37,12 @@ def test_kernel_scale_validation():
         KernelSpec(KernelKind.GAUSSIAN, 0.0)
     with pytest.raises(ValueError):
         KernelSpec(KernelKind.GAUSSIAN, -2.8)
+    # the kernel divides by s^2, which must be a positive finite float
+    for scale in (1e-170, 1e160, float("inf")):
+        with pytest.raises(ValueError, match="square a positive finite float"):
+            KernelSpec(KernelKind.GAUSSIAN, scale)
+    assert KernelSpec(KernelKind.GAUSSIAN, 1e-160).scale == 1e-160
+    assert KernelSpec(KernelKind.LINEAR, 1e-170).scale == 1e-170
 
 
 def test_gram_matrix_agrees_with_kernel_eval(rng):
