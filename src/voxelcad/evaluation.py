@@ -259,11 +259,13 @@ class EvalReport:
 
 
 def strip_timing(report_dict: dict) -> dict:
-    """Copy of a serialized report without wall-clock fields."""
+    """Copy of a serialized report, or of a {"reports": [...]} payload as
+    write_report_json writes it, without wall-clock fields."""
     out = copy.deepcopy(report_dict)
-    out.pop("timing", None)
-    for fold in out.get("folds", []):
-        fold.pop("train_time_s", None)
+    for report in out.get("reports", [out]):
+        report.pop("timing", None)
+        for fold in report.get("folds", []):
+            fold.pop("train_time_s", None)
     return out
 
 

@@ -14,21 +14,34 @@ block_features partitions the volume into an axis-aligned grid of boxes
 (remainder voxels go to the last box along each axis) and concatenates the
 six statistics per box, boxes ordered x-fastest like the voxels themselves.
 
-It computes all boxes of one z-band of boxes at once; a band is a
+Its passes over voxels run one z-band of boxes at a time; a band is a
 contiguous run of the x-fastest voxel array. The band's voxels are grouped
-by box with one gather, then per-box sums (mean and the central moments
-m2, m3, m4), minima and maxima come from ufunc.reduceat over the box
-segments, and every box's histogram from one np.bincount. Bin indices
-follow np.histogram's uniform-bin rule exactly, so the counts equal those
-of np.histogram(box, bins, range=(min, max)). Working per band keeps the
-float64 temporaries to a fraction of the volume.
+by box with one gather, then ufunc.reduceat over the box segments gives
+each box's minimum, maximum and sum, one np.bincount every box's
+histogram, and three more reduceat the sums of d^2, d^3 and d^4 for the
+deviations d from the box mean, formed in place. Bin indices follow
+np.histogram's uniform-bin rule, so the counts equal those of
+np.histogram(box, bins, range=(min, max)). The band's sums land in its
+boxes' rows of the volume's arrays, and everything per box (the moments,
+skewness, kurtosis, energy, entropy and the output rows) runs once per
+volume on arrays of one entry per box: on the default 4x4x4 grid a band
+holds 16 boxes, and a numpy call on 16 entries costs about as much as
+one on 64.
+
+The band temporaries are fresh arrays each time. Kept buffers were tried
+and measured on the benchmark's predict stream: a buffer set per
+geometry (3.4 MB at the default dims) made requests 15% slower at p95,
+one shared 0.6 MB set gained nothing, and one pass over the whole volume
+in place of bands took hundreds of page faults per volume. Merging or
+splitting the z-bands was slower too, so a band stays one z-layer of
+boxes.
 
 Where the voxels go depends only on the volume dims and the block grid,
 so that is computed once per geometry and cached (a few geometries at a
 time): per band, the permutation into the flat voxel array, the box sizes
-and the segment starts, all stored read-only. The permutation is the
-stable argsort of each voxel's box id, which keeps every box's voxels in
-their x-fastest order. A volume then only gathers its voxels through it:
+and the segment starts, and every box's size over the whole volume, all
+stored read-only. The permutation is the stable argsort of each voxel's
+box id, which keeps every box's voxels in their x-fastest order. A volume then only gathers its voxels through it:
 the reductions see the same values in the same order as a per-volume
 sort would give them, so the features are bit-identical to it.
 """
@@ -124,29 +137,59 @@ def check_recipe(block_grid, bins) -> tuple[tuple[int, int, int], int]:
     return tuple(int(b) for b in block_grid), int(bins)
 
 
+def _bin_edges(lo: np.ndarray, hi: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each box's bin edges over its own [lo, hi], one row per box, and the
+    bin width.
+
+    The edges are linspace(lo, hi, bins + 1, axis=1) bit for bit but for
+    the last column, which is +inf: np.linspace forms j * step + lo with
+    step = (hi - lo) / bins, and so does this, without its per-call
+    overhead. A constant box gets a wider dummy range, so all its values
+    land in bin 0 and no row has a zero step.
+    """
+    hi = np.where(hi > lo, hi, lo + np.abs(lo) + 1.0)
+    step = hi - lo
+    step /= bins
+    edges = np.arange(bins + 1.0) * step[:, None]
+    edges += lo[:, None]
+    edges[:, -1] = np.inf               # closed last bin: nothing moves up past it
+    return edges, step
+
+
 def _box_counts(x: np.ndarray, n: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 bins: int) -> np.ndarray:
     """Histogram of each box over its own [lo, hi], one row per box.
 
     x holds the boxes one after another, n[i] values each. A value's bin
-    follows np.histogram's uniform-bin rule exactly: edges from
-    linspace(lo, hi, bins + 1), an index from the scaled offset, corrected
-    by one against the edges, and a closed last bin. A constant box gets a
-    wider dummy range, so all its values land in bin 0 and no row of edges
-    has a zero step (linspace then takes the same rounding route per row).
+    follows np.histogram's uniform-bin rule: a first index from the
+    scaled offset, corrected by one bin against the edges (_bin_edges),
+    with a closed last bin.
+
+    The first index is trunc((x - lo) / step), where np.histogram takes
+    trunc((x - lo) / (hi - lo) * bins) and clips it to bins - 1. For
+    float32 voxels both start at most one bin from the bin the edges place
+    x in, so the one-step correction ends both in that bin:
+      * each quotient is within a few float64 ulps of the exact position
+        t in [0, bins], so it truncates to floor(t), or to the integer next
+        to it when t is within about 1e-15 * bins of an integer, and never
+        past bins;
+      * each edge is within a float64 ulp of max(|lo|, |hi|) of its exact
+        value, and the width hi - lo of a float32 box is at least half a
+        float32 ulp of that, 2^28 times more; so for any bin count far
+        below 2^28 the edges place x in floor(t), or in the bin next to it
+        under the same condition.
+    A first index of bins, which only x at hi or within rounding of it
+    reaches, points at the +inf last edge, and the correction moves it down
+    to bins - 1: no clip is needed.
     """
-    hi = np.where(hi > lo, hi, lo + np.abs(lo) + 1.0)
-    edges = np.linspace(lo, hi, bins + 1, axis=1)
+    edges, step = _bin_edges(lo, hi, bins)
     f = x - np.repeat(lo, n)
-    f /= np.repeat(hi - lo, n)
-    f *= bins
+    f /= np.repeat(step, n)
     k = f.astype(np.intp)
-    np.minimum(k, bins - 1, out=k)      # the maximum itself goes in the last bin
     k += np.repeat(np.arange(0, edges.size, bins + 1), n)   # index into flat edges
-    edges[:, -1] = np.inf               # closed last bin: nothing moves up past it
     edges = edges.ravel()
-    k -= x < edges[k]
-    k += x >= edges[k + 1]
+    k -= x < np.take(edges, k, out=f)
+    k += x >= np.take(edges[1:], k, out=f)
     return np.bincount(k, minlength=edges.size).reshape(lo.size, bins + 1)[:, :-1]
 
 
@@ -158,10 +201,18 @@ class _BandPlan(NamedTuple):
     starts: np.ndarray   # offset of each box's segment in perm
 
 
+class _Plan(NamedTuple):
+    """What the geometry fixes about a volume's boxes."""
+
+    bands: tuple[_BandPlan, ...]   # one per z-band, in z order
+    n: np.ndarray                  # voxels per box, over every band
+
+
 @functools.lru_cache(maxsize=8)
 def _extraction_plan(dims: tuple[int, int, int],
-                     block_grid: tuple[int, int, int]) -> tuple[_BandPlan, ...]:
-    """One _BandPlan per z-band of boxes, for volumes of these dims.
+                     block_grid: tuple[int, int, int]) -> _Plan:
+    """A _BandPlan per z-band of boxes, and every box's voxel count, for
+    volumes of these dims.
 
     Nothing in it depends on voxel values or on the bin count, so a process
     that alternates a few bundles or grids keeps one plan for each.
@@ -174,40 +225,39 @@ def _extraction_plan(dims: tuple[int, int, int],
     # narrowest id type lets numpy use its radix sort)
     box_map = np.repeat(np.arange(by), ys)[:, None] * bx + np.repeat(np.arange(bx), xs)
     box_map = box_map.astype(np.min_scalar_type(by * bx - 1)).ravel()
-    plans = []
+    bands = []
     for z0, depth in zip(np.cumsum(zs) - zs, zs):
         box_ids = np.broadcast_to(box_map, (depth, box_map.size)).ravel()
         perm = np.argsort(box_ids, kind="stable") + z0 * ny * nx
         n = np.outer(ys, xs).ravel() * depth
         starts = np.cumsum(n) - n
-        for a in (perm, n, starts):
-            a.flags.writeable = False
-        plans.append(_BandPlan(perm, n, starts))
-    return tuple(plans)
+        bands.append(_BandPlan(perm, n, starts))
+    n = np.concatenate([band.n for band in bands])
+    for a in (n, *(a for band in bands for a in band)):
+        a.flags.writeable = False
+    return _Plan(tuple(bands), n)
 
 
-def _band_features(flat: np.ndarray, plan: _BandPlan, bins: int) -> np.ndarray:
-    """Six statistics per box of one z-band, rows x-fastest."""
+def _band_sums(flat: np.ndarray, plan: _BandPlan, bins: int, counts: np.ndarray,
+               moments: np.ndarray) -> None:
+    """The passes over one z-band's voxels: each box's histogram into its
+    row of counts, and its mean and sums of d^2, d^3, d^4 into columns 0-3
+    of its row of moments."""
     n, starts = plan.n, plan.starts
     x = flat[plan.perm].astype(np.float64)
-
     lo, hi = np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts)
-    p = _box_counts(x, n, lo, hi, bins) / n[:, None]
-    energy = np.sum(p * p, axis=1)
-    logp = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
-    entropy = -np.sum(p * logp, axis=1)
-
-    mean = np.add.reduceat(x, starts) / n
-    d = x - np.repeat(mean, n)
+    counts[:] = _box_counts(x, n, lo, hi, bins)
+    mean = moments[:, 0]
+    np.add.reduceat(x, starts, out=mean)
+    mean /= n
+    d = x                                   # x is not needed any more
+    d -= np.repeat(mean, n)
     d2 = d * d
-    m2 = np.add.reduceat(d2, starts) / n
-    m3 = np.add.reduceat(d2 * d, starts) / n
-    m4 = np.add.reduceat(d2 * d2, starts) / n
-    spread = m2 > 0.0
-    safe = np.where(spread, m2, 1.0)
-    skewness = np.where(spread, m3 / safe**1.5, 0.0)
-    kurtosis = np.where(spread, m4 / (safe * safe), 0.0)
-    return np.column_stack([mean, m2, skewness, kurtosis, energy, entropy])
+    np.add.reduceat(d2, starts, out=moments[:, 1])
+    d *= d2
+    np.add.reduceat(d, starts, out=moments[:, 2])
+    d2 *= d2
+    np.add.reduceat(d2, starts, out=moments[:, 3])
 
 
 def block_features(v: Volume, block_grid: tuple[int, int, int] = DEFAULT_BLOCK_GRID,
@@ -218,7 +268,31 @@ def block_features(v: Volume, block_grid: tuple[int, int, int] = DEFAULT_BLOCK_G
     if bx > nx or by > ny or bz > nz:
         raise ValueError(f"block grid {block_grid} exceeds volume dims {v.dims}")
     plan = _extraction_plan(v.dims, (bx, by, bz))
-    return np.concatenate([_band_features(v.voxels, band, bins) for band in plan]).ravel()
+    n = plan.n
+    out = np.empty((n.size, 6))
+    counts = np.empty((n.size, bins), dtype=np.intp)
+    a = 0
+    for band in plan.bands:
+        b = a + band.n.size
+        _band_sums(v.voxels, band, bins, counts[a:b], out[a:b])
+        a = b
+
+    # per box, once per volume
+    m2, m3, m4 = out[:, 1], out[:, 2], out[:, 3]
+    m2 /= n
+    m3 /= n
+    m4 /= n
+    p = counts / n[:, None]
+    out[:, 4] = np.sum(p * p, axis=1)
+    logp = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    out[:, 5] = -np.sum(p * logp, axis=1)
+    spread = m2 > 0.0
+    safe = np.where(spread, m2, 1.0)
+    m3 /= safe**1.5
+    m4 /= safe * safe
+    m3[~spread] = 0.0
+    m4[~spread] = 0.0
+    return out.ravel()
 
 
 def vaf_features(v: Volume) -> np.ndarray:

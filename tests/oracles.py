@@ -6,7 +6,7 @@ over all columns, the SVM dual is solved by exhaustive active-set
 enumeration (exact for tiny problems), derivatives come from
 central finite differences, kernels, SVM decisions and network outputs
 are evaluated one sample at a time, and grayscale statistics one box at a
-time with np.histogram.
+time with np.histogram (and, as a frozen reference, one z-band at a time).
 """
 
 from __future__ import annotations
@@ -163,6 +163,64 @@ def block_features(v, block_grid, bins: int) -> np.ndarray:
     arr = as_array(v)
     return np.concatenate([grayscale_features(arr[s], bins)
                            for s in box_slices(v.dims, block_grid)])
+
+
+# --- grayscale statistics, one z-band of boxes at a time ----------------------
+#
+# The banded extraction as it stood before the per-box work moved out of the
+# band loop, frozen: np.linspace edges, the clipped first bin index, and all
+# six statistics finished per band. The library's features must equal it bit
+# for bit.
+
+def banded_box_counts(x, n, lo, hi, bins: int) -> np.ndarray:
+    """Each box's np.histogram counts over its own [lo, hi], one row per box."""
+    hi = np.where(hi > lo, hi, lo + np.abs(lo) + 1.0)
+    edges = np.linspace(lo, hi, bins + 1, axis=1)
+    f = x - np.repeat(lo, n)
+    f /= np.repeat(hi - lo, n)
+    f *= bins
+    k = f.astype(np.intp)
+    np.minimum(k, bins - 1, out=k)
+    k += np.repeat(np.arange(0, edges.size, bins + 1), n)
+    edges[:, -1] = np.inf
+    edges = edges.ravel()
+    k -= x < edges[k]
+    k += x >= edges[k + 1]
+    return np.bincount(k, minlength=edges.size).reshape(lo.size, bins + 1)[:, :-1]
+
+
+def _banded_stats(x, n, bins: int) -> np.ndarray:
+    starts = np.cumsum(n) - n
+    lo, hi = np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts)
+    p = banded_box_counts(x, n, lo, hi, bins) / n[:, None]
+    energy = np.sum(p * p, axis=1)
+    logp = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    entropy = -np.sum(p * logp, axis=1)
+    mean = np.add.reduceat(x, starts) / n
+    d = x - np.repeat(mean, n)
+    d2 = d * d
+    m2 = np.add.reduceat(d2, starts) / n
+    m3 = np.add.reduceat(d2 * d, starts) / n
+    m4 = np.add.reduceat(d2 * d2, starts) / n
+    spread = m2 > 0.0
+    safe = np.where(spread, m2, 1.0)
+    skewness = np.where(spread, m3 / safe**1.5, 0.0)
+    kurtosis = np.where(spread, m4 / (safe * safe), 0.0)
+    return np.column_stack([mean, m2, skewness, kurtosis, energy, entropy])
+
+
+def banded_block_features(v, block_grid, bins: int) -> np.ndarray:
+    """Six statistics per box, computed one z-band of boxes at a time."""
+    arr = as_array(v)
+    slices = box_slices(v.dims, block_grid)
+    bx, by, _ = block_grid
+    rows = []
+    for a in range(0, len(slices), bx * by):
+        # the band's voxels grouped by box, each box's in x-fastest order
+        boxes = [arr[s].ravel(order="F") for s in slices[a:a + bx * by]]
+        x = np.concatenate(boxes).astype(np.float64)
+        rows.append(_banded_stats(x, np.array([b.size for b in boxes]), bins))
+    return np.concatenate(rows).ravel()
 
 
 # --- SVM dual via exhaustive active-set enumeration -------------------------

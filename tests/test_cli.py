@@ -12,6 +12,7 @@ import pytest
 import voxelcad
 from voxelcad import __version__
 from voxelcad.cli import build_parser, dispatch
+from voxelcad.evaluation import strip_timing
 from voxelcad.features import FeatureKind, build_feature_matrix
 from voxelcad.manifest import read_manifest
 from voxelcad.pipeline import PipelineModel
@@ -270,6 +271,24 @@ def test_eval_writes_reports(tmp_path, small_dataset, capsys):
     assert [r["pipeline"] for r in payload["reports"]] == ["PCA-SVM", "VAF-SVM"]
     assert len(payload["reports"][0]["folds"]) == 4
     assert len(csv_path.read_text().splitlines()) == 1 + 2 * 4
+
+
+def test_report_files_of_identical_runs_are_equal_after_strip_timing(tmp_path,
+                                                                     small_dataset):
+    manifest, _ = small_dataset
+    payloads = []
+    for name in ("first.json", "second.json"):
+        assert dispatch(["eval", "--manifest", str(manifest), "--pipelines",
+                         "pca-svm,pca-ann", "--folds", "4",
+                         "--report", str(tmp_path / name)]) == 0
+        payloads.append(json.loads((tmp_path / name).read_text()))
+    first, second = (strip_timing(p) for p in payloads)
+    assert first == second
+    for report in first["reports"]:
+        assert "timing" not in report
+        assert all("train_time_s" not in fold for fold in report["folds"])
+    # the payloads themselves still carry their timings
+    assert all("timing" in r for r in payloads[0]["reports"])
 
 
 def test_eval_rejects_unknown_pipeline(tmp_path, small_dataset, capsys):

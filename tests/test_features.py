@@ -129,6 +129,8 @@ def test_block_features_match_the_per_box_oracle(case, rng):
     want = oracles.block_features(v, grid, bins).reshape(-1, 6)
     assert np.array_equal(got[:, 4], want[:, 4])            # energy bit-equal
     assert np.allclose(got, want, rtol=0, atol=1e-12)
+    # bit for bit the banded extraction that finished each band on its own
+    assert np.array_equal(got.ravel(), oracles.banded_block_features(v, grid, bins))
     # the histograms themselves, box by box, against np.histogram
     arr = oracles.as_array(v)
     boxes = [arr[s].ravel(order="F").astype(np.float64)
@@ -146,6 +148,9 @@ def test_block_features_match_the_per_box_oracle(case, rng):
 # box) or up (second box); each list starts with the box's min and max
 _CORRECTED_DOWN = [0.0, 1.756354570388794, 0.4390886425971985, 0.878177285194397]
 _CORRECTED_UP = [0.0, 0.6520912051200867, 0.18910644948482513, 0.37821289896965027]
+# a box mostly at its max, whose first bin index (hi - lo) / step is exactly
+# bins for every bin count below, one past the last bin
+_AT_MAX = [-0.75, 1000.5, 1000.5, 1000.5, 17.0]
 
 
 @pytest.mark.parametrize("bins", [1, 3, 7, 32, 100])
@@ -163,13 +168,45 @@ def test_box_counts_follow_np_histogram_at_the_edges(bins, rng):
         rng.random(50),
         np.full(6, 0.7),                              # constant box
         [-2.5],                                       # single voxel
+        _AT_MAX,
     ]
     boxes = [np.asarray(b, dtype=np.float32).astype(np.float64) for b in boxes]
     x = np.concatenate(boxes)
     n = np.array([b.size for b in boxes])
-    got = features._box_counts(x, n, np.array([b.min() for b in boxes]),
-                               np.array([b.max() for b in boxes]), bins)
+    lo = np.array([b.min() for b in boxes])
+    hi = np.array([b.max() for b in boxes])
+    width = hi[-1] - lo[-1]                                 # the _AT_MAX box
+    assert int(width / (width / bins)) == bins
+    got = features._box_counts(x, n, lo, hi, bins)
     assert np.array_equal(got, [oracles.box_counts(b, bins) for b in boxes])
+    assert np.array_equal(got, oracles.banded_box_counts(x, n, lo, hi, bins))
+
+
+@pytest.mark.parametrize("bins", [1, 2, 3, 7, 32, 100])
+def test_bin_edges_are_linspace_bit_for_bit(bins):
+    f32 = lambda *a: np.array(a, dtype=np.float32).astype(np.float64)
+    one = np.float32(1)
+    big = np.float32(3.0e6)
+    lo = np.concatenate([
+        f32(1.0, -1.0, 3.0e6, -3.0e6, 1e-30),       # one float32 ulp wide
+        f32(1000.0, -1000.5, 3.0e6, 0.1),          # |lo| far above the width
+        f32(-7.25, -0.3, -2.0, 0.0),               # negative values
+        f32(0.7, -2.5, 0.0, 1e6),                  # constant boxes
+    ])
+    hi = np.concatenate([
+        f32(np.nextafter(one, 2 * one), np.nextafter(-one, one),
+            np.nextafter(big, 2 * big), np.nextafter(-big, big),
+            np.nextafter(np.float32(1e-30), one)),
+        f32(1000.001, -1000.499, 3.0e6 + 0.5, 0.1001),
+        f32(-7.0, 0.4, -1.5, 0.5),
+        f32(0.7, -2.5, 0.0, 1e6),
+    ])
+    edges, step = features._bin_edges(lo, hi, bins)
+    want = np.linspace(lo, np.where(hi > lo, hi, lo + np.abs(lo) + 1.0), bins + 1, axis=1)
+    assert np.all(step > 0.0)
+    assert np.array_equal(edges[:, :-1], want[:, :-1])
+    assert np.array_equal(np.signbit(edges[:, :-1]), np.signbit(want[:, :-1]))
+    assert np.all(edges[:, -1] == np.inf)
 
 
 def test_build_feature_matrix_matches_the_oracle_and_repeats(small_dataset,
@@ -320,12 +357,13 @@ def test_block_features_on_alternating_geometries(rng):
             oracle = oracles.block_features(v, grid, bins)
             assert np.array_equal(got.reshape(-1, 6)[:, 4], oracle.reshape(-1, 6)[:, 4])
             assert np.allclose(got, oracle, rtol=0, atol=1e-12)
+            assert np.array_equal(got, oracles.banded_block_features(v, grid, bins))
     for v, grid, _ in cases:
         plan = features._extraction_plan(v.dims, grid)
         assert plan is features._extraction_plan(v.dims, grid)
-        assert sum(band.perm.size for band in plan) == v.n_voxels
-        for band in plan:
-            for arr in band:
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[0] = 0
+        assert sum(band.perm.size for band in plan.bands) == v.n_voxels
+        assert np.array_equal(plan.n, np.concatenate([band.n for band in plan.bands]))
+        for arr in (plan.n, *(a for band in plan.bands for a in band)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
