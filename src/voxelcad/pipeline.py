@@ -52,19 +52,20 @@ unchanged until its model is dropped.
 
 This module alone knows the bundle format. PipelineModel.to_dict and
 from_dict write and read every field, the classifier's too (svm.py and
-ann.py hold numerics only), and its typed field readers refuse a
-malformed bundle with a ValueError that names the field by its dotted
-path, so `voxelcad predict` reports it as a domain error.
+ann.py hold numerics only). Each array is stored exactly, as its shape
+and the base64 of its little-endian float64 bytes. The typed field
+readers refuse a missing or malformed field with a ValueError that names
+it by its dotted path, so `voxelcad predict` reports it as a domain error.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -118,7 +119,8 @@ def _sigmas(Xc: np.ndarray) -> np.ndarray:
     return sigmas
 
 
-BUNDLE_VERSION = 2
+BUNDLE_VERSION = 3
+_CHUNK = 3 << 13     # values per base64 chunk in save; a multiple of 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +168,11 @@ class PipelineModel:
         return self._pair[1]
 
     def to_dict(self, arrays: bool = False) -> dict:
-        """The bundle as JSON-ready values; arrays=True leaves the numpy
-        arrays as they are (for the streamed writer in save)."""
-        plain = (lambda a: a) if arrays else np.ndarray.tolist
+        """The bundle as JSON-ready values, each array as the object
+        {"shape": [d0, ...], "data": _base64(array)}; arrays=True leaves the
+        numpy arrays as they are (for the streamed writer in save)."""
+        plain = (lambda a: a) if arrays else (lambda a: {"shape": list(a.shape),
+                                                         "data": _base64(a)})
         clf = self.classifier
         if isinstance(clf, svm.SvmModel):
             gaussian = clf.kernel.kind is svm.KernelKind.GAUSSIAN
@@ -204,38 +208,37 @@ class PipelineModel:
         if not isinstance(d, dict):
             raise ValueError("a bundle must be a JSON object")
         version = d.get("version")
-        if version != BUNDLE_VERSION:
+        # JSON's 3.0 is a float equal to 3; a version is an integer
+        if type(version) is not int or version != BUNDLE_VERSION:
             raise ValueError(
                 f"unsupported bundle version {version!r}: this voxelcad reads "
                 f"version {BUNDLE_VERSION} only; train the model again"
             )
-        classifier = _read_classifier(_object_field(d["classifier"], "classifier"))
-        affine = _object_field(d["affine"], "affine")
-        weight = _array_field(affine["weight"], "affine.weight", (1, 2))
-        offset = _array_field(affine["offset"], "affine.offset", (1,))
+        classifier = _read_classifier(_object_field(d, "classifier"))
+        affine = _object_field(d, "affine")
+        weight = _array_field(affine, "affine.weight", (1, 2))
+        offset = _array_field(affine, "affine.offset", (1,))
         if offset.shape != weight.shape[-1:]:
             raise ValueError(f"bundle field 'affine' has a {weight.shape} weight "
                              f"and a {offset.shape} offset that do not compose")
-        if isinstance(classifier, ann.AnnModel):
-            width = classifier.n_inputs
-        else:
-            # an SVM that keeps no support vector scores rows of any width
-            width = classifier.support_vectors.shape[1] if classifier.alphas.size else offset.size
+        width = (classifier.n_inputs if isinstance(classifier, ann.AnnModel)
+                 else classifier.support_vectors.shape[1])
         if offset.size != width:
             raise ValueError(f"bundle field 'affine' has {offset.size} outputs, "
                              f"but the classifier takes {width} inputs")
         # the layout of a fitted W: X @ W on F- and C-order weights can
         # differ in the last bits, and a loaded bundle must score as fitted
         weight = np.asfortranarray(weight)
-        kind = FeatureKind(d["feature_kind"])
+        kind = _parsed("feature_kind", FeatureKind, _member(d, "feature_kind"))
         block_grid = bins = None
         if kind is FeatureKind.GRAYSCALE:
+            recipe = _member(d, "block_grid"), _member(d, "bins")
             try:
-                block_grid, bins = check_recipe(d["block_grid"], d["bins"])
+                block_grid, bins = check_recipe(*recipe)
             except ValueError as err:
                 raise ValueError(f"bundle field {err}") from None
         return cls(
-            pipeline=canonical_pipeline(d["pipeline"]),
+            pipeline=_parsed("pipeline", canonical_pipeline, _member(d, "pipeline")),
             feature_kind=kind,
             block_grid=block_grid,
             bins=bins,
@@ -245,8 +248,8 @@ class PipelineModel:
         )
 
     def save(self, path) -> None:
-        """Write the bundle, byte for byte json.dumps(self.to_dict()), one
-        array row at a time."""
+        """Write the bundle, byte for byte json.dumps(self.to_dict()), with
+        each array's base64 streamed in chunks (_write_json)."""
         with open(path, "w", encoding="utf-8") as fh:
             _write_json(fh, self.to_dict(arrays=True))
 
@@ -259,84 +262,73 @@ class PipelineModel:
 def _read_classifier(clf: dict) -> svm.SvmModel | ann.AnnModel:
     """The classifier of a bundle from its parsed "classifier" object."""
     path = "classifier.model"
-    model = _object_field(clf["model"], path)
-    array = lambda key, ndims: _array_field(model[key], f"{path}.{key}", ndims)
-    number = lambda key: _number_field(model[key], f"{path}.{key}")
-    if clf["type"] == "SVM":
-        kind = svm.KernelKind(model["kernel"])
+    model = _object_field(clf, path)
+    array = lambda key, ndims: _array_field(model, f"{path}.{key}", ndims)
+    number = lambda key: _number_field(model, f"{path}.{key}")
+    choice = lambda key, enum: _parsed(f"{path}.{key}", enum, _member(model, f"{path}.{key}"))
+    kind = _member(clf, "classifier.type")
+    if kind == "SVM":
+        kernel = choice("kernel", svm.KernelKind)
         # only a linear kernel has no scale
-        scale = (svm.KernelSpec.scale if kind is svm.KernelKind.LINEAR and model["scale"] is None
-                 else number("scale"))
-        try:
-            kernel = svm.KernelSpec(kind, scale)
-        except ValueError as err:
-            raise ValueError(f"bundle field '{path}.scale': {err}") from None
-        # a model that keeps no support vector saves them as [], which
-        # scores its bias whatever the width of the rows
-        sv = model["support_vectors"]
+        scale = (svm.KernelSpec.scale if kernel is svm.KernelKind.LINEAR
+                 and _member(model, f"{path}.scale") is None else number("scale"))
+        # with no support vector, of shape [0, k], a model scores its bias
         return svm.SvmModel(
-            support_vectors=(np.empty((0, 0)) if isinstance(sv, list) and not sv else
-                             array("support_vectors", (2,))),
-            alphas=array("alphas", (1,)),
-            labels=array("labels", (1,)),
-            bias=number("bias"),
-            kernel=kernel,
-            C=number("C"),
-        )
-    if clf["type"] == "ANN":
-        return ann.AnnModel(
-            w1=array("w1", (2,)),
-            b1=array("b1", (1,)),
-            w2=array("w2", (1,)),
-            b2=number("b2"),
-            activation=ann.Activation(model["activation"]),
-        )
-    raise ValueError(f"unknown classifier type {clf['type']!r}")
+            support_vectors=array("support_vectors", (2,)), alphas=array("alphas", (1,)),
+            labels=array("labels", (1,)), bias=number("bias"), C=number("C"),
+            kernel=_parsed(f"{path}.scale", svm.KernelSpec, kernel, scale))
+    if kind == "ANN":
+        return ann.AnnModel(w1=array("w1", (2,)), b1=array("b1", (1,)), w2=array("w2", (1,)),
+                            b2=number("b2"), activation=choice("activation", ann.Activation))
+    raise ValueError(f"bundle field 'classifier.type' must be 'SVM' or 'ANN', got {kind!r}")
 
 
-def _object_field(value, field: str) -> dict:
-    """A field that must be a JSON object."""
+def _member(obj: dict, field: str):
+    """The member of the bundle object obj at the dotted path field."""
+    key = field.rpartition(".")[2]
+    if key not in obj:
+        raise ValueError(f"bundle field '{field}' is missing")
+    return obj[key]
+
+
+def _object_field(obj: dict, field: str) -> dict:
+    """A member that must be a JSON object."""
+    value = _member(obj, field)
     if not isinstance(value, dict):
         raise ValueError(f"bundle field '{field}' must be a JSON object, "
                          f"got {type(value).__name__}")
     return value
 
 
-def _array_field(value, field: str, ndims: tuple[int, ...]) -> np.ndarray:
-    """A field read as a finite float64 array with one of the given ranks.
-    Only JSON numbers count: numpy's own reading of the nested lists must
-    give integers or floats, so strings are refused, and so is any boolean,
-    which numpy would read as 0 or 1 beside a number."""
+def _parsed(field: str, parse: Callable, *args):
+    """parse(*args), where a ValueError names the bundle field it reads."""
+    try:
+        return parse(*args)
+    except ValueError as err:
+        raise ValueError(f"bundle field '{field}': {err}") from None
+
+
+def _array_field(obj: dict, field: str, ndims: tuple[int, ...]) -> np.ndarray:
+    """A member stored as to_dict stores an array, read as a finite float64
+    array with one of the given ranks: valid base64 of 8 bytes per entry of
+    a shape of integers >= 0 (numpy would infer a negative entry)."""
+    stored = _object_field(obj, field)
+    shape, data = _member(stored, f"{field}.shape"), _member(stored, f"{field}.data")
     arr = None
-    if not _holds_bool(value):
+    if isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape):
         try:
-            arr = np.array(value)
-        except (TypeError, ValueError):
+            arr = np.frombuffer(base64.b64decode(data, validate=True), "<f8").reshape(shape)
+        except (TypeError, ValueError):     # binascii.Error is a ValueError
             pass
-    if arr is not None and arr.dtype.kind in "iuf" and arr.ndim in ndims:
-        arr = arr.astype(np.float64, copy=False)
-        if np.isfinite(arr).all():
-            return arr
-    raise ValueError(f"bundle field '{field}' must be a numeric array of rank "
-                     f"{' or '.join(map(str, ndims))}, all finite")
+    if arr is None or arr.ndim not in ndims or not np.isfinite(arr).all():
+        raise ValueError(f"bundle field '{field}' must be a numeric array of rank "
+                         f"{' or '.join(map(str, ndims))}, all finite")
+    return arr
 
 
-def _holds_bool(value) -> bool:
-    """Whether value, a list of them, or a list of lists holds a JSON true
-    or false: the ranks a bundle array may have. One pass in C per level."""
-    if not isinstance(value, list):
-        return isinstance(value, bool)
-    types = set(map(type, value))
-    if list in types:
-        try:
-            types.update(map(type, chain.from_iterable(value)))
-        except TypeError:       # lists beside numbers, which numpy refuses
-            pass
-    return bool in types
-
-
-def _number_field(value, field: str) -> float:
-    """A field that must be a finite JSON number."""
+def _number_field(obj: dict, field: str) -> float:
+    """A member that must be a finite JSON number."""
+    value = _member(obj, field)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)
@@ -347,23 +339,28 @@ def _number_field(value, field: str) -> float:
     raise ValueError(f"bundle field '{field}' must be a finite number, got {value!r}")
 
 
+def _base64(a: np.ndarray) -> str:
+    """The base64 of a's little-endian float64 bytes, in C order."""
+    return base64.b64encode(np.ascontiguousarray(a, "<f8")).decode("ascii")
+
+
 def _write_json(fh, value) -> None:
-    """Write value as json.dumps(value) spells it, where value may hold
-    numpy arrays (spelled as their tolist()); a 2-D array goes out one row
-    at a time, so no nested list of the whole array is built."""
+    """Write value as json.dumps(value) spells it, where value may hold numpy
+    arrays, spelled as to_dict spells them. An array's base64 goes out _CHUNK
+    values (whole base64 groups) at a time, so no copy of the array is made."""
     if isinstance(value, dict):
         fh.write("{")
         for i, (key, item) in enumerate(value.items()):
             fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
             _write_json(fh, item)
         fh.write("}")
-    elif isinstance(value, np.ndarray) and value.ndim == 2:
-        fh.write("[")
-        for i, row in enumerate(value):
-            fh.write(f"{', ' if i else ''}{json.dumps(row.tolist())}")
-        fh.write("]")
+    elif isinstance(value, np.ndarray):
+        fh.write(f'{{"shape": {json.dumps(value.shape)}, "data": "')
+        for i in range(0, value.size, _CHUNK):
+            fh.write(_base64(value.flat[i:i + _CHUNK]))
+        fh.write('"}')
     else:
-        fh.write(json.dumps(value.tolist() if isinstance(value, np.ndarray) else value))
+        fh.write(json.dumps(value))
 
 
 def _row_indices(rows) -> np.ndarray | None:

@@ -15,7 +15,7 @@ from voxelcad.cli import build_parser, dispatch
 from voxelcad.evaluation import strip_timing
 from voxelcad.features import FeatureKind, build_feature_matrix
 from voxelcad.manifest import read_manifest
-from voxelcad.pipeline import PipelineModel
+from voxelcad.pipeline import BUNDLE_VERSION, PipelineModel
 
 
 def _extract_values(path) -> np.ndarray:
@@ -149,8 +149,12 @@ def test_a_bundle_with_no_support_vector_loads_and_scores_its_bias(flags, small_
     out = tmp_path / "model.json"
     assert dispatch(["train", "--manifest", str(manifest), "--model", "svm", *flags,
                      "--model-out", str(out)]) == 0
-    svm_fields = json.loads(out.read_text())["classifier"]["model"]
-    assert svm_fields["support_vectors"] == [] and svm_fields["alphas"] == []
+    bundle = json.loads(out.read_text())
+    svm_fields, (k,) = bundle["classifier"]["model"], bundle["affine"]["offset"]["shape"]
+    assert k == (8 * 9 * 7 if "--no-pca" in flags else bundle["affine"]["weight"]["shape"][1])
+    # the empty support vectors keep the width of the classifier's inputs
+    assert svm_fields["support_vectors"] == {"shape": [0, k], "data": ""}
+    assert svm_fields["alphas"] == svm_fields["labels"] == {"shape": [0], "data": ""}
     capsys.readouterr()
     row = read_manifest(manifest)[0]
     assert dispatch(["predict", "--model", str(out), "--volume", str(row.path)]) == 0
@@ -175,7 +179,7 @@ def test_predict_missing_volume_exits_1(svm_bundle, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("version", [1, 99])
+@pytest.mark.parametrize("version", [1, 2, 99, float(BUNDLE_VERSION), True])
 def test_predict_refuses_other_bundle_versions(version, svm_bundle, small_dataset,
                                                tmp_path, capsys):
     manifest, _ = small_dataset
@@ -189,11 +193,16 @@ def test_predict_refuses_other_bundle_versions(version, svm_bundle, small_datase
     assert f"unsupported bundle version {version}" in capsys.readouterr().err
 
 
+_DELETED = object()
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("classifier", [1], "bundle field 'classifier' must be a JSON object"),
     ("affine", [1], "bundle field 'affine' must be a JSON object"),
-    ("affine.weight", {"a": 1}, "bundle field 'affine.weight' must be a numeric array"),
-    ("affine.offset", [1], "bundle field 'affine' has a"),
+    # one NaN weight, and a one-entry offset that does not compose with W
+    ("affine.weight", {"shape": [1, 1], "data": "AAAAAAAA+H8="},
+     "bundle field 'affine.weight' must be a numeric array"),
+    ("affine.offset", {"shape": [1], "data": "AAAAAAAA8D8="}, "bundle field 'affine' has a"),
     ("bins", "x", "bundle field 'bins' must be an integer >= 1, got 'x'"),
     ("bins", "3", "bundle field 'bins' must be an integer >= 1, got '3'"),
     ("bins", None, "bundle field 'bins' must be an integer >= 1, got None"),
@@ -201,8 +210,17 @@ def test_predict_refuses_other_bundle_versions(version, svm_bundle, small_datase
     ("block_grid", None, "bundle field 'block_grid' must be three integers >= 1"),
     ("block_grid", [4, 4], "bundle field 'block_grid' must be three integers >= 1"),
     ("block_grid", [4, 0, 4], "bundle field 'block_grid' must be three integers >= 1"),
+    ("affine", _DELETED, "bundle field 'affine' is missing"),
+    ("classifier.model.alphas", _DELETED, "bundle field 'classifier.model.alphas' is missing"),
+    ("feature_kind", "TEXT", "bundle field 'feature_kind': 'TEXT' is not a valid FeatureKind"),
+    ("classifier.model.kernel", "POLY",
+     "bundle field 'classifier.model.kernel': 'POLY' is not a valid KernelKind"),
+    ("bins", _DELETED, "bundle field 'bins' is missing"),
+    ("pipeline", "PCA-KNN", "bundle field 'pipeline': unknown pipeline 'PCA-KNN'"),
 ], ids=["classifier", "affine", "affine.weight", "affine.offset", "bins-x", "bins-str",
-        "bins-null", "bins-zero", "block_grid-null", "block_grid-pair", "block_grid-zero"])
+        "bins-null", "bins-zero", "block_grid-null", "block_grid-pair", "block_grid-zero",
+        "affine-missing", "alphas-missing", "feature_kind-text", "kernel-poly",
+        "bins-missing", "pipeline-knn"])
 def test_predict_refuses_a_malformed_bundle(field, value, message, svm_bundle,
                                             small_dataset, tmp_path):
     manifest, _ = small_dataset
@@ -211,7 +229,10 @@ def test_predict_refuses_a_malformed_bundle(field, value, message, svm_bundle,
     target = bundle
     for name in parents:
         target = target[name]
-    target[key] = value
+    if value is _DELETED:
+        del target[key]
+    else:
+        target[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bundle))
     proc = _run_cli("predict", "--model", str(path),

@@ -1,6 +1,9 @@
+import base64
 import dataclasses
 import hashlib
+import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,7 +19,7 @@ from voxelcad.pca import (_fix_signs, center, contribution_rates, fit_pca, proje
                           raw_gram, select_components)
 from voxelcad.pca import map_back as pca_map_back
 from voxelcad import pipeline
-from voxelcad.pipeline import (PIPELINES, PipelineModel,
+from voxelcad.pipeline import (BUNDLE_VERSION, PIPELINES, PipelineModel,
                                canonical_pipeline, fit_pipeline,
                                pipeline_feature_kind, predict_matrix,
                                predict_volume, standardize)
@@ -63,6 +66,19 @@ def test_standardization_degenerate_columns():
 
 def _fit(pid, fm, cfg, **kw):
     return fit_pipeline(pid, fm.values, fm.labels, cfg, **kw)
+
+
+def _encoded(a) -> dict:
+    """An array as a version-3 bundle stores it, written out here as the
+    format says: its shape and the base64 of its little-endian float64
+    bytes in C order."""
+    a = np.asarray(a, dtype=np.float64)
+    return {"shape": list(a.shape),
+            "data": base64.b64encode(a.astype("<f8").tobytes(order="C")).decode("ascii")}
+
+
+def _decoded(stored: dict) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(stored["data"]), "<f8").reshape(stored["shape"])
 
 
 def test_fit_pipeline_bundles(small_grayscale, small_vaf, small_runconfig):
@@ -158,15 +174,17 @@ def test_bundle_round_trip_preserves_predictions(tmp_path, small_grayscale,
         assert back.weight.flags.c_contiguous == model.weight.flags.c_contiguous
         if pid.endswith("SVM"):
             # a model that keeps every training row holds them in C order,
-            # the layout of its JSON round trip
+            # the layout of the bundle's bytes
             sv = model.classifier.support_vectors
             assert sv.flags.c_contiguous
             if pid == "VAF-SVM":
                 assert sv.shape[0] == fm.values.shape[0]  # support-vector ratio 1
         d = json.loads(path.read_text())
-        assert d["version"] == 2
+        assert d["version"] == BUNDLE_VERSION == 3
         assert set(d) == {"version", "pipeline", "feature_kind", "block_grid",
                           "bins", "affine", "classifier"}
+        # each array is its exact float64 bytes
+        assert _same_bits(_decoded(d["affine"]["weight"]), model.weight)
         assert not set(d["classifier"]["model"]) & {"standardization", "version"}
 
 
@@ -214,13 +232,28 @@ def test_composed_front_end_matches_the_staged_one(pid, prescale, one_block, sma
 @pytest.mark.parametrize("pid", PIPELINES)
 @pytest.mark.parametrize("kind", ["grayscale", "vaf"])
 def test_save_streams_the_bytes_of_the_bundle_dict(pid, kind, tmp_path, small_grayscale,
-                                                   small_vaf, small_runconfig):
+                                                   small_vaf, small_runconfig, monkeypatch):
     cfg = dataclasses.replace(small_runconfig, feature_kind=kind)
     fm = small_vaf if pipeline_feature_kind(pid, cfg) is FeatureKind.VAF else small_grayscale
     model = _fit(pid, fm, cfg, ann_seed=4)
     path = tmp_path / "bundle.json"
     model.save(path)
-    assert path.read_bytes() == json.dumps(model.to_dict()).encode("utf-8")
+    want = json.dumps(model.to_dict()).encode("utf-8")
+    assert path.read_bytes() == want
+    # save -> load -> save gives the same bytes
+    PipelineModel.load(path).save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == want
+    # with chunks of 3 values (24 bytes), every array goes out in many
+    # chunks, and the extra ones hold 5 values (40 bytes: neither a multiple
+    # of 3 nor of the chunk) and a 3 x 2 array in F order
+    monkeypatch.setattr(pipeline, "_CHUNK", 3)
+    model.save(tmp_path / "chunked.json")
+    assert (tmp_path / "chunked.json").read_bytes() == want
+    extra = {"odd": np.arange(5.0) / 3.0, "fortran": np.asfortranarray(np.arange(6.0).reshape(3, 2))}
+    out = io.StringIO()
+    pipeline._write_json(out, extra)
+    assert out.getvalue() == json.dumps({key: _encoded(a) for key, a in extra.items()})
+    assert np.array_equal(_decoded(json.loads(out.getvalue())["fortran"]), extra["fortran"])
 
 
 @pytest.mark.parametrize("kind", ["vaf", "grayscale"])
@@ -293,7 +326,8 @@ def test_test_rows_do_not_reach_a_vaf_fold_model(pid, small_vaf, small_runconfig
 def test_from_dict_rejects_unknown_classifier(small_grayscale, small_runconfig):
     d = _fit("PCA-SVM", small_grayscale, small_runconfig).to_dict()
     d["classifier"]["type"] = "TREE"
-    with pytest.raises(ValueError, match="classifier type"):
+    with pytest.raises(ValueError, match="bundle field 'classifier.type' must be 'SVM' or "
+                                         "'ANN', got 'TREE'"):
         PipelineModel.from_dict(d)
 
 
@@ -315,22 +349,18 @@ _MISTYPED = [
     ("PCA-SVM", "C", [1], "must be a finite number"),
     ("PCA-SVM", "scale", "x", "must be a finite number"),
     ("PCA-SVM", "scale", None, "must be a finite number"),
-    ("PCA-SVM", "alphas", 7, "must be a numeric array of rank 1"),
-    ("PCA-SVM", "alphas", [None], "must be a numeric array of rank 1"),
-    ("PCA-SVM", "alphas", ["0.5"], "must be a numeric array of rank 1"),
-    ("PCA-SVM", "labels", [True, False], "must be a numeric array of rank 1"),
-    ("PCA-SVM", "support_vectors", [[1.0], [1.0, 2.0]], "must be a numeric array of rank 2"),
-    ("PCA-SVM", "support_vectors", [[1.0, "2"]], "must be a numeric array of rank 2"),
+    # an array is a {"shape", "data"} object: a number, a string or a
+    # nested list of the version-2 text form is refused
+    ("PCA-SVM", "alphas", 7, "must be a JSON object, got int"),
+    ("PCA-SVM", "alphas", [None], "must be a JSON object, got list"),
+    ("PCA-SVM", "alphas", ["0.5"], "must be a JSON object, got list"),
+    ("PCA-SVM", "support_vectors", [[1.0], [1.0, 2.0]], "must be a JSON object, got list"),
+    ("PCA-SVM", "support_vectors", [[1.0, "2"]], "must be a JSON object, got list"),
     ("PCA-ANN", "b2", None, "must be a finite number"),
     ("PCA-ANN", "b2", [1], "must be a finite number"),
     ("PCA-ANN", "b2", _HUGE, "must be a finite number"),
-    ("PCA-ANN", "w1", "x", "must be a numeric array of rank 2"),
-    ("PCA-ANN", "w1", [[1.0, "2"]], "must be a numeric array of rank 2"),
-    ("PCA-ANN", "b1", [True, False], "must be a numeric array of rank 1"),
-    # numpy reads a boolean beside a number as 0 or 1
-    ("PCA-SVM", "alphas", [1.0, True], "must be a numeric array of rank 1"),
-    ("PCA-SVM", "support_vectors", [[1.0], [False]], "must be a numeric array of rank 2"),
-    ("PCA-ANN", "w1", [[0, 1.5, True]], "must be a numeric array of rank 2"),
+    ("PCA-ANN", "w1", "x", "must be a JSON object, got str"),
+    ("PCA-ANN", "w1", [[1.0, "2"]], "must be a JSON object, got list"),
 ]
 
 
@@ -344,6 +374,62 @@ def test_from_dict_names_a_mistyped_model_field(bundles, pid, key, value, messag
         PipelineModel.from_dict(d)
 
 
+_RANK_1 = "' must be a numeric array of rank 1, all finite"
+_RANK_2 = "' must be a numeric array of rank 2, all finite"
+
+# (id, pid, array field, edit of its stored object in place, message after the field)
+_MALFORMED_ARRAYS = [
+    ("alphas-no-shape", "PCA-SVM", "alphas", lambda a: a.pop("shape"), ".shape' is missing"),
+    ("w1-no-data", "PCA-ANN", "w1", lambda a: a.pop("data"), ".data' is missing"),
+    ("labels-shape-true", "PCA-SVM", "labels", lambda a: a.update(_encoded([1.0]), shape=[True]),
+     _RANK_1),
+    ("b1-shape-negative", "PCA-ANN", "b1", lambda a: a.update(shape=[-1]), _RANK_1),
+    ("w2-shape-float", "PCA-ANN", "w2", lambda a: a.update(shape=[float(a["shape"][0])]),
+     _RANK_1),
+    ("w2-shape-int", "PCA-ANN", "w2", lambda a: a.update(shape=a["shape"][0]), _RANK_1),
+    ("sv-rank-1", "PCA-SVM", "support_vectors",
+     lambda a: a.update(shape=[a["shape"][0] * a["shape"][1]]), _RANK_2),
+    ("w1-data-number", "PCA-ANN", "w1", lambda a: a.update(data=7), _RANK_2),
+    ("w1-data-not-base64", "PCA-ANN", "w1", lambda a: a.update(data="*" + a["data"][1:]),
+     _RANK_2),
+    # a decoder that is not strict would skip the newline
+    ("alphas-data-newline", "PCA-SVM", "alphas",
+     lambda a: a.update(data=a["data"][:4] + "\n" + a["data"][4:]), _RANK_1),
+    ("labels-8-bytes-short", "PCA-SVM", "labels",
+     lambda a: a.update(data=_encoded(_decoded(a)[:-1])["data"]), _RANK_1),
+    ("b1-one-byte-over", "PCA-ANN", "b1",
+     lambda a: a.update(data=base64.b64encode(base64.b64decode(a["data"]) + b"\0").decode()),
+     _RANK_1),
+    ("alphas-nan", "PCA-SVM", "alphas", lambda a: a.update(_encoded([np.nan])), _RANK_1),
+    ("sv-inf", "PCA-SVM", "support_vectors", lambda a: a.update(_encoded([[-np.inf]])), _RANK_2),
+]
+
+
+@pytest.mark.parametrize("pid, key, edit, message", [case[1:] for case in _MALFORMED_ARRAYS],
+                         ids=[case[0] for case in _MALFORMED_ARRAYS])
+def test_from_dict_refuses_a_malformed_array(bundles, pid, key, edit, message):
+    d = json.loads(json.dumps(bundles[pid]))
+    edit(d["classifier"]["model"][key])
+    with pytest.raises(ValueError, match=re.escape(f"bundle field 'classifier.model.{key}{message}")):
+        PipelineModel.from_dict(d)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("b2", None, "bundle field 'classifier.model.b2' is missing"),
+    ("activation", [1], "bundle field 'classifier.model.activation': [1] is not a valid "
+                        "Activation"),
+], ids=["b2-missing", "activation-list"])
+def test_from_dict_names_a_missing_or_unknown_ann_field(bundles, key, value, message):
+    # the CLI's malformed-bundle test covers the other fields on an SVM bundle
+    d = json.loads(json.dumps(bundles["PCA-ANN"]))
+    if value is None:
+        del d["classifier"]["model"][key]
+    else:
+        d["classifier"]["model"][key] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PipelineModel.from_dict(d)
+
+
 @pytest.mark.parametrize("pid", ["PCA-SVM", "PCA-ANN"])
 def test_from_dict_refuses_a_front_end_that_does_not_fit_its_classifier(bundles, pid):
     # W and b gain a column that the classifier has no input for: they
@@ -351,9 +437,10 @@ def test_from_dict_refuses_a_front_end_that_does_not_fit_its_classifier(bundles,
     # the field
     d = json.loads(json.dumps(bundles[pid]))
     affine = d["affine"]
-    k = len(affine["offset"])
-    affine["weight"] = [row + [0.0] for row in affine["weight"]]
-    affine["offset"] = affine["offset"] + [0.0]
+    weight, offset = _decoded(affine["weight"]), _decoded(affine["offset"])
+    k = offset.size
+    affine["weight"] = _encoded(np.hstack([weight, np.zeros((weight.shape[0], 1))]))
+    affine["offset"] = _encoded(np.append(offset, 0.0))
     with pytest.raises(ValueError, match=f"bundle field 'affine' has {k + 1} outputs, "
                                          f"but the classifier takes {k} inputs"):
         PipelineModel.from_dict(d)
@@ -374,6 +461,11 @@ def test_bundle_keys_keep_their_order(bundles, pid):
     assert list(d["affine"]) == ["weight", "offset"]
     assert list(d["classifier"]) == ["type", "model"]
     assert list(d["classifier"]["model"]) == _MODEL_KEYS[pid]
+    arrays = [d["affine"]["weight"], d["affine"]["offset"]] + [
+        value for value in d["classifier"]["model"].values() if isinstance(value, dict)]
+    assert len(arrays) == {"PCA-SVM": 5, "PCA-ANN": 5}[pid]
+    for stored in arrays:
+        assert list(stored) == ["shape", "data"]
 
 
 def _same_bits(a, b) -> bool:
