@@ -66,8 +66,6 @@ _OVERRIDES: dict[str, dict] = {
     "bins": dict(flags=["--bins"], type=int, help="histogram bins for entropy/energy"),
     "pca_threshold": dict(flags=["--pca-threshold"], type=float,
                           help="cumulative contribution threshold in (0, 1]"),
-    "pca_prescale": dict(flags=["--pca-prescale"], action=argparse.BooleanOptionalAction,
-                         help="unit-variance scaling before PCA (extension, default off)"),
     "kernel": dict(flags=["--kernel"], choices=["linear", "gaussian"], help="SVM kernel"),
     "kernel_scale": dict(flags=["--kernel-scale"], type=float, help="Gaussian kernel scale"),
     "C": dict(flags=["--C"], type=float, help="SVM box constraint"),
@@ -92,10 +90,9 @@ _OVERRIDES: dict[str, dict] = {
 
 _SYNTH_FIELDS = ["n_ad", "n_hc", "dims", "separation", "noise_sigma", "seed"]
 _EXTRACT_FIELDS = ["feature_kind", "block_grid", "bins"]
-_MODEL_FIELDS = ["feature_kind", "block_grid", "bins", "pca_threshold", "pca_prescale",
-                 "kernel", "kernel_scale", "C", "svm_tol", "hidden", "activation",
-                 "trainer", "max_iters", "lambda_", "lr", "momentum", "goal_sse",
-                 "patience", "seed"]
+_MODEL_FIELDS = ["feature_kind", "block_grid", "bins", "pca_threshold", "kernel",
+                 "kernel_scale", "C", "svm_tol", "hidden", "activation", "trainer",
+                 "max_iters", "lambda_", "lr", "momentum", "goal_sse", "patience", "seed"]
 _EVAL_FIELDS = _MODEL_FIELDS[:-1] + ["folds", "val_fraction", "seed"]
 
 

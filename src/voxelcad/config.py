@@ -4,9 +4,9 @@ One record mirrors every tunable knob across the modules. It loads from a
 JSON file, accepts flag overrides on top (flags win), and `validate()`
 re-checks every field against the owning module's constructor before any
 work starts. Values from either source must first have the field's
-declared JSON type: an integer (not a bool), a number, true/false, a
-string, or a list of three integers. The JSON key for the L2 strength is
-"lambda"; the Python field is lambda_ to dodge the keyword.
+declared JSON type: an integer (not a bool), a number, a string, or a
+list of three integers. The JSON key for the L2 strength is "lambda";
+the Python field is lambda_ to dodge the keyword.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ def _is_int(value) -> bool:
 _TYPE_CHECKS = {
     "int": (_is_int, "an integer"),
     "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "tuple[int, int, int]": (
         lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_int, v)),
@@ -56,7 +55,6 @@ class RunConfig:
     bins: int = DEFAULT_BINS
     # pca
     pca_threshold: float = 0.95
-    pca_prescale: bool = False
     # svm
     kernel: str = "gaussian"
     kernel_scale: float = KernelSpec.scale

@@ -10,14 +10,13 @@ Every fold refits standardization, PCA, and the classifier on its own
 training rows, so no test information leaks into fitted parameters.
 cross_validate hands fit_pipeline the whole feature matrix and the fold's
 training and validation row indices. For the PCA pipelines it also builds
-one raw Gram X X^T per feature matrix (pca.raw_gram, without
-pca_prescale) and passes it to every fold's fit: each fold's PCA fit, and
-its validation and test rows, are read from that n x n matrix, so no fold
-gathers, centres or multiplies the m-wide rows. Its entry (i, j) depends
-on rows i and j only, so the fits stay independent of the test rows.
-VAF-SVM, and with pca_prescale the PCA pipelines, fit each fold in one
-blocked pass over X whose training-row products do not depend on the test
-rows either.
+one raw Gram X X^T per feature matrix (pca.raw_gram) and passes it to
+every fold's fit: each fold's PCA fit, and its validation and test rows,
+are read from that n x n matrix, so no fold gathers, centres or
+multiplies the m-wide rows. Its entry (i, j) depends on rows i and j
+only, so the fits stay independent of the test rows. VAF-SVM fits each
+fold in one blocked pass over X whose training-row products do not
+depend on the test rows either.
 
 Every fit scores its fold's test rows itself, as its held-out rows, and
 keeps their scores in ascending row order, the order of the fold's sorted
@@ -313,22 +312,19 @@ def cross_validate(manifest_path, pipelines, cfg: RunConfig) -> list[EvalReport]
     if not ids:
         raise ValueError("no pipelines requested")
 
+    # each feature matrix, and one raw Gram of each that a PCA pipeline reads
     matrices: dict[FeatureKind, object] = {}
+    grams = {}
     for pid in ids:
         kind = pipeline_feature_kind(pid, cfg)
         if kind not in matrices:
             matrices[kind] = build_feature_matrix(manifest_path, kind,
                                                   cfg.block_grid, cfg.bins)
+        if pid != "VAF-SVM" and kind not in grams:
+            grams[kind] = raw_gram(matrices[kind].values)
     first = next(iter(matrices.values()))
     lab = np.asarray(first.labels, dtype=object)
     splits = stratified_split(first.labels, cfg.folds, cfg.val_fraction, cfg.seed)
-
-    # one raw Gram per feature matrix that a PCA pipeline reads
-    grams = {}
-    for pid in ids:
-        kind = pipeline_feature_kind(pid, cfg)
-        if pid != "VAF-SVM" and not cfg.pca_prescale and kind not in grams:
-            grams[kind] = raw_gram(matrices[kind].values)
 
     reports = []
     for pid in ids:

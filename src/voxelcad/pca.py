@@ -141,11 +141,11 @@ def raw_gram(X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     return G
 
 
-def map_back(X: np.ndarray, rows: np.ndarray | None, coef: np.ndarray,
-             scale: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(diag(scale) Xc^T coef as an m x k F-order array, the column means of
-    the rows), with Xc the rows of X that rows selects (all rows if None)
-    centred by those means. Each column block's k x b product
+def map_back(X: np.ndarray, rows: np.ndarray | None,
+             coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Xc^T coef as an m x k F-order array, the column means of the rows),
+    with Xc the rows of X that rows selects (all rows if None) centred by
+    those means. Each column block's k x b product
     coef^T X_b - (1^T coef) mean_b is written into a k x m C-order buffer
     whose transpose is returned, so no centred copy of the rows is made."""
     m = X.shape[1]
@@ -157,8 +157,6 @@ def map_back(X: np.ndarray, rows: np.ndarray | None, coef: np.ndarray,
         part = out[:, a:b]
         np.matmul(coef_t, Xb, out=part)
         part -= np.outer(total, means[a:b])
-        if scale is not None:
-            part *= scale[a:b]
     return out.T, means
 
 

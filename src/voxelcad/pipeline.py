@@ -6,12 +6,12 @@ Three presets mirror the comparison table:
   PCA-ANN  blocked grayscale statistics -> PCA projection -> ANN
   VAF-SVM  raw voxel intensities -> SVM (no PCA), same kernel preset
 
-Every stage is fit on training data only: optional unit-variance scaling
-(pca_prescale), PCA, then a z-score of the projected columns. The
-classifier trains on the staged rows. Together the stages form one affine
-map, so the bundle stores only its composition, x -> x W + b with W of
-shape m x k for the PCA pipelines and a per-feature scale w (x * w + b)
-for VAF-SVM, and prediction applies it in a single step.
+Every stage is fit on training data only: PCA, then a z-score of the
+projected columns. The classifier trains on the staged rows. Together
+the stages form one affine map, so the bundle stores only its
+composition, x -> x W + b with W of shape m x k for the PCA pipelines
+and a per-feature scale w (x * w + b) for VAF-SVM, and prediction
+applies it in a single step.
 
 A fit reads the m-wide rows of X at most once. Every PCA fit takes
 pca.fit_pca's Gram route, which is exact for any shape (kernel PCA with a
@@ -20,10 +20,10 @@ so both need only inner products of the rows. A fit reads them from the
 raw Gram that cross-validation builds once over every row of X
 (pca.raw_gram) and passes as gram, or else from one blocked pass over X
 (_row_products). The pass gathers one pca.column_blocks block at a time,
-training rows first, transforms it in place as the fit needs (not at all
-for PCA, times 1/sigma with pca_prescale, to (x - mu) / sigma for
-VAF-SVM, mu and sigma from the training rows), and sums only the products
-with the training rows and the other rows' squared norms. VAF-SVM skips
+training rows first, z-scores it in place for VAF-SVM alone, to
+(x - mu) / sigma with mu and sigma from the training rows, and sums
+only the products with the training rows and the other rows' squared
+norms (PCA reads the raw rows). VAF-SVM skips
 the validation rows, which SVM training ignores. With a Gaussian kernel
 its pass stops early once the partial distances prove that every kernel
 entry off the training diagonal underflows to exactly 0.0, as at the
@@ -61,6 +61,7 @@ it by its dotted path, so `voxelcad predict` reports it as a domain error.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import time
 from collections.abc import Callable
@@ -317,7 +318,9 @@ def _array_field(obj: dict, field: str, ndims: tuple[int, ...]) -> np.ndarray:
     arr = None
     if isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape):
         try:
-            arr = np.frombuffer(base64.b64decode(data, validate=True), "<f8").reshape(shape)
+            # reads the str in place: b64decode would first copy it to bytes
+            arr = np.frombuffer(binascii.a2b_base64(data, strict_mode=True),
+                                "<f8").reshape(shape)
         except (TypeError, ValueError):     # binascii.Error is a ValueError
             pass
     if arr is None or arr.ndim not in ndims or not np.isfinite(arr).all():
@@ -378,21 +381,21 @@ _UNDERFLOW = 746.0    # np.exp(-x) is exactly 0.0 for every x past 745.14
 
 
 def _row_products(X: np.ndarray, train: np.ndarray, others: np.ndarray,
-                  transform: str | None = None, underflow_scale: float | None = None):
+                  zscore: bool = False, underflow_scale: float | None = None):
     """One pass over the columns of X for a fit: (G, norms, stats).
 
     The rows of X that the integer indices train select, then those that
-    others select, are gathered one pca.column_blocks block at a time and
-    transformed in place column by column: not at all (transform None),
-    times 1/sigmas ("scale"), or to (x - means) / sigmas ("zscore"), where
-    means and sigmas are standardize's on the training rows, bit for bit
-    (the product with 1/sigmas may differ from standardize's quotient in
-    the last bits). With z the transformed rows, G[i, j] = z_i . z_j over
-    every gathered row i and training row j, and norms[i] = z_i . z_i. The
+    others select, are gathered one pca.column_blocks block at a time. With
+    zscore, each block is transformed in place, column by column, to
+    (x - means) / sigmas, where means and sigmas are standardize's on the
+    training rows, bit for bit (the product with 1/sigmas may differ from
+    standardize's quotient in the last bits); without it, the rows are
+    read raw. With z the rows so read, G[i, j] = z_i . z_j over every
+    gathered row i and training row j, and norms[i] = z_i . z_i. The
     training rows' G is summed as its own product (numpy's syrk, so exactly
     symmetric), and does not depend on the other rows. stats() returns
-    (means, sigmas), None where the transform does not use them, so the
-    plain pass allocates nothing m-wide.
+    (means, sigmas), both None without zscore, so the raw pass allocates
+    nothing m-wide.
 
     underflow_scale s, given for a Gaussian kernel on the z-scored rows,
     lets the pass stop early. After blocks 1, 2, 4, 8, ... it takes the
@@ -430,13 +433,12 @@ def _row_products(X: np.ndarray, train: np.ndarray, others: np.ndarray,
     _UNDERFLOW absorbs the rounding of the test itself and of d / s^2."""
     m, t = X.shape[1], train.size
     order = np.concatenate([train, others])
-    sigmas = None if transform is None else np.empty(m)
-    means = np.empty(m) if transform == "zscore" else None
+    means, sigmas = (np.empty(m), np.empty(m)) if zscore else (None, None)
     G = np.zeros((order.size, t))
     norms = np.zeros(order.size)
     read = m
     for k, (a, b, Xb) in enumerate(column_blocks(X, order), 1):
-        if transform is not None:
+        if zscore:
             _standardize_block(Xb, t, a, b, means, sigmas)
         # only Xb refers to the block, so it is freed once the next one
         # is gathered
@@ -461,18 +463,13 @@ def _row_products(X: np.ndarray, train: np.ndarray, others: np.ndarray,
 
 
 def _standardize_block(Xb: np.ndarray, t: int, a: int, b: int,
-                       means: np.ndarray | None, sigmas: np.ndarray) -> None:
-    """Set sigmas[a:b], and means[a:b] unless means is None, from the first
-    t rows of the gathered block Xb of columns [a, b), and transform Xb in
-    place: to (x - means) / sigmas, or times 1/sigmas without means."""
-    mu = Xb[:t].mean(axis=0)
-    if means is None:
-        sd = _sigmas(Xb[:t] - mu)
-    else:
-        means[a:b] = mu
-        Xb -= mu
-        sd = _sigmas(Xb[:t])
-    sigmas[a:b] = sd
+                       means: np.ndarray, sigmas: np.ndarray) -> None:
+    """Set means[a:b] and sigmas[a:b] from the first t rows of the gathered
+    block Xb of columns [a, b), and transform Xb in place to
+    (x - means) / sigmas."""
+    means[a:b] = mu = Xb[:t].mean(axis=0)
+    Xb -= mu
+    sigmas[a:b] = sd = _sigmas(Xb[:t])
     Xb *= 1.0 / sd
 
 
@@ -539,8 +536,7 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     they drive ANN early stopping only, through the composed front end like
     test rows; SVM training ignores them. gram, if given, is raw_gram(X),
     the raw Gram of every row of X; the PCA pipelines read it in place of
-    their own pass over X (ignored with pca_prescale). X itself is never
-    written.
+    their own pass over X. X itself is never written.
 
     The fit scores the other rows of X, the held-out rows, from the inner
     products it has read. The model keeps those scores, in ascending row
@@ -564,9 +560,8 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
 
     if pid == "VAF-SVM":
         kernel = cfg.kernel_spec()
-        gaussian = kernel.kind is svm.KernelKind.GAUSSIAN
-        G, norms, stats = _row_products(X, train, held, "zscore",
-                                        kernel.scale if gaussian else None)
+        scale = kernel.scale if kernel.kind is svm.KernelKind.GAUSSIAN else None
+        G, norms, stats = _row_products(X, train, held, zscore=True, underflow_scale=scale)
         K = svm.kernel_values(kernel, G, norms, norms[:train.size])
         K_train = K[:train.size]
         alpha, bias = svm.smo(K_train, targets, cfg.C, cfg.svm_tol)
@@ -587,12 +582,10 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         n = train.size
         v = n if val_rows is None else n + val_rows.size
         others = held if val_rows is None else np.concatenate([val_rows, held])
-        if gram is None or cfg.pca_prescale:
-            G, _, stats = _row_products(X, train, others,
-                                        "scale" if cfg.pca_prescale else None)
-            sd = stats()[1]
+        if gram is None:
+            G = _row_products(X, train, others)[0]
         else:
-            G, sd = gram[np.ix_(np.concatenate([train, others]), train)], None
+            G = gram[np.ix_(np.concatenate([train, others]), train)]
         pca_model = fit_pca(X, cum_threshold=cfg.pca_threshold, method="gram", rows=rows,
                             gram=G[:n])
         retained = pca_model.retained
@@ -600,9 +593,8 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         Xs, means, sigmas = standardize(pca_model.scores)
         offset = (pca_model.origin[:retained] - means) / sigmas
         coef = pca_model.coef[:, :retained] / sigmas
-        # W = diag(1/sd^2) (X[train] - means)^T coef, mapped back when read
-        sq = None if sd is None else (1.0 / sd) ** 2
-        affine = lambda: (map_back(X, rows, coef, sq)[0], offset)
+        # W = (X[train] - means)^T coef, mapped back when read
+        affine = lambda: (map_back(X, rows, coef)[0], offset)
 
         if pid == "PCA-SVM":
             classifier = svm.train_svm(Xs, targets, C=cfg.C, kernel=cfg.kernel_spec(),

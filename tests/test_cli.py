@@ -250,11 +250,9 @@ def test_predict_refuses_a_malformed_bundle(field, value, message, svm_bundle,
     ("C", "1", "a number"),
     ("folds", None, "an integer"),
     ("seed", "x", "an integer"),
-    ("pca_prescale", "yes", "true or false"),
-    ("pca_prescale", "no", "true or false"),
     ("kernel", 1, "a string"),
 ], ids=["block_grid-null", "block_grid-float", "n_ad-str", "n_hc-bool", "C-str",
-        "folds-null", "seed-str", "pca_prescale-yes", "pca_prescale-no", "kernel-int"])
+        "folds-null", "seed-str", "kernel-int"])
 def test_config_file_refuses_a_mistyped_value(key, value, want, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({key: value}))
@@ -275,6 +273,21 @@ def test_threads_config_key_is_refused(tmp_path, small_dataset, capsys):
                      "--out", str(tmp_path / "f.csv")])
     assert code == 1
     assert "unknown config key 'threads'" in capsys.readouterr().err
+
+
+def test_the_removed_pca_prescale_option_is_refused(tmp_path, small_dataset, capsys):
+    # unit-variance scaling before PCA is not part of the paper's pipelines
+    manifest, _ = small_dataset
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pca_prescale": True}))
+    out = tmp_path / "model.json"
+    assert dispatch(["train", "--manifest", str(manifest), "--config", str(cfg_path),
+                     "--model-out", str(out)]) == 1
+    assert f"unknown config key 'pca_prescale' in {cfg_path}" in capsys.readouterr().err
+    assert dispatch(["train", "--manifest", str(manifest), "--pca-prescale",
+                     "--model-out", str(out)]) == 2
+    assert "unrecognized arguments: --pca-prescale" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_writes_reports(tmp_path, small_dataset, capsys):
@@ -329,9 +342,9 @@ def test_the_reused_parser_carries_no_state_between_calls(tmp_path, small_datase
     assert "argument --bins: invalid int value: 'x'" in capsys.readouterr().err
     assert dispatch(["--help"]) == 0
     assert "COMMAND" in capsys.readouterr().out
-    scaled = tmp_path / "scaled.json"
-    assert dispatch(["train", "--manifest", str(manifest), "--pca-prescale",
-                     "--model-out", str(scaled)]) == 0
+    other = tmp_path / "other.json"
+    assert dispatch(["train", "--manifest", str(manifest), "--C", "2",
+                     "--model-out", str(other)]) == 0
     plain = tmp_path / "plain.json"
     assert dispatch(["train", "--manifest", str(manifest),
                      "--model-out", str(plain)]) == 0
@@ -340,7 +353,7 @@ def test_the_reused_parser_carries_no_state_between_calls(tmp_path, small_datase
     proc = _run_cli("train", "--manifest", str(manifest), "--model-out", str(child))
     assert proc.returncode == 0, proc.stderr
     assert plain.read_bytes() == child.read_bytes()
-    assert scaled.read_bytes() != child.read_bytes()
+    assert other.read_bytes() != child.read_bytes()
 
     volume = str(read_manifest(manifest)[0].path)
     assert dispatch(["predict", "--model", str(plain), "--volume", volume]) == 0

@@ -16,7 +16,7 @@ def test_defaults_match_module_constants():
     assert cfg.separation == 6.0
     assert cfg.feature_kind == "grayscale"
     assert cfg.block_grid == (4, 4, 4) and cfg.bins == 32
-    assert cfg.pca_threshold == 0.95 and cfg.pca_prescale is False
+    assert cfg.pca_threshold == 0.95
     assert (cfg.kernel, cfg.kernel_scale, cfg.C) == ("gaussian", 2.8, 1.0)
     assert (cfg.hidden, cfg.activation, cfg.trainer) == (100, "tansig", "lm")
     assert (cfg.folds, cfg.val_fraction, cfg.seed) == (5, 0.10, 0)
@@ -141,9 +141,9 @@ def test_from_sources_checks_json_types(tmp_path):
     path = tmp_path / "run.json"
     # an integer is a valid number; a list is a valid triple
     path.write_text(json.dumps({"C": 2, "kernel_scale": 3.5, "dims": [6, 5, 4],
-                                "pca_prescale": True, "lambda": 0}))
+                                "feature_kind": "vaf", "lambda": 0}))
     cfg = RunConfig.from_sources(path)
-    assert (cfg.C, cfg.dims, cfg.pca_prescale, cfg.lambda_) == (2, (6, 5, 4), True, 0)
+    assert (cfg.C, cfg.dims, cfg.feature_kind, cfg.lambda_) == (2, (6, 5, 4), "vaf", 0)
     path.write_text(json.dumps({"lambda": "0.1"}))
     with pytest.raises(ValueError, match="config key 'lambda' .* must be a number"):
         RunConfig.from_sources(path)

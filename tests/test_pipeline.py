@@ -146,15 +146,6 @@ def test_validation_slice_feeds_ann_early_stopping(small_grayscale,
     assert plain.classifier.history["val_sse"] is None
 
 
-def test_prescale_is_carried_in_the_bundle(small_grayscale, small_runconfig):
-    cfg = dataclasses.replace(small_runconfig, pca_prescale=True)
-    model = _fit("PCA-SVM", small_grayscale, cfg)
-    plain = _fit("PCA-SVM", small_grayscale, small_runconfig)
-    assert not np.array_equal(model.weight, plain.weight)
-    labels, _ = predict_matrix(model, small_grayscale.values)
-    assert set(labels) <= {"AD", "HC"}
-
-
 def test_bundle_round_trip_preserves_predictions(tmp_path, small_grayscale,
                                                  small_vaf, small_runconfig):
     for pid in PIPELINES:
@@ -195,19 +186,19 @@ def one_block_grayscale(small_dataset):
     return build_feature_matrix(small_dataset[0], FeatureKind.GRAYSCALE, (1, 1, 1))
 
 
-_STAGED = [("PCA-SVM", False, False), ("PCA-ANN", False, False),
-           ("VAF-SVM", False, False), ("PCA-SVM", True, False)] + [
-    (pid, prescale, True) for pid in ("PCA-SVM", "PCA-ANN") for prescale in (False, True)]
+_STAGED = [(pid, False) for pid in PIPELINES] + [(pid, True) for pid in ("PCA-SVM", "PCA-ANN")]
 
 
-@pytest.mark.parametrize("pid, prescale, one_block", _STAGED,
-                         ids=[f"{p}-{s}" + ("-grid1x1x1" if b else "") for p, s, b in _STAGED])
-def test_composed_front_end_matches_the_staged_one(pid, prescale, one_block, small_grayscale,
+# the "-False" in the ids is the spelling these cases had beside the
+# pca_prescale cases that were removed with that option
+@pytest.mark.parametrize("pid, one_block", _STAGED,
+                         ids=[f"{p}-False" + ("-grid1x1x1" if b else "") for p, b in _STAGED])
+def test_composed_front_end_matches_the_staged_one(pid, one_block, small_grayscale,
                                                    one_block_grayscale, small_vaf,
                                                    small_runconfig):
     # on the 1x1x1 grid the staged reference takes fit_pca's direct route,
     # while the fit takes the Gram route as on every shape
-    cfg = dataclasses.replace(small_runconfig, pca_prescale=prescale)
+    cfg = small_runconfig
     fm = small_vaf if pid == "VAF-SVM" else small_grayscale
     if one_block:
         cfg = dataclasses.replace(cfg, block_grid=(1, 1, 1))
@@ -216,8 +207,6 @@ def test_composed_front_end_matches_the_staged_one(pid, prescale, one_block, sma
     model = _fit(pid, fm, cfg)
     X = fm.values
     if pid != "VAF-SVM":
-        if prescale:
-            X = standardize(X)[0]
         X = project(fit_pca(X, cum_threshold=cfg.pca_threshold), X)
     Z = standardize(X)[0]
     clf = model.classifier
@@ -414,6 +403,23 @@ def test_from_dict_refuses_a_malformed_array(bundles, pid, key, edit, message):
         PipelineModel.from_dict(d)
 
 
+def test_reading_an_array_field_makes_no_copy_of_its_text(rng):
+    # like a VAF bundle's support vectors (40 rows of 62,322 voxels), at a
+    # third of their width: the base64 str is decoded in place, so the
+    # traced peak is the decoded bytes and the finite check's booleans; a
+    # decoder that first copies the str to bytes peaks at about 2.33x
+    a = rng.normal(size=(40, 20_000))
+    stored = {"support_vectors": _encoded(a)}
+    tracemalloc.start()
+    try:
+        got = pipeline._array_field(stored, "support_vectors", (2,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, a)
+    assert peak <= 1.5 * a.nbytes, peak / a.nbytes
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("b2", None, "bundle field 'classifier.model.b2' is missing"),
     ("activation", [1], "bundle field 'classifier.model.activation': [1] is not a valid "
@@ -562,13 +568,14 @@ def test_a_vaf_fold_fit_matches_the_staged_fit_on_a_kernel_that_is_not_the_ident
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
-_SCORED = [pytest.param(pid, False, True, id=pid) for pid in PIPELINES] + [
-    pytest.param(pid, prescale, False, id=f"{pid}-prescale{int(prescale)}-own-pass")
-    for pid in ("PCA-SVM", "PCA-ANN") for prescale in (False, True)]
+# "prescale0" in the ids is the spelling these cases had beside the
+# pca_prescale cases that were removed with that option
+_SCORED = [pytest.param(pid, True, id=pid) for pid in PIPELINES] + [
+    pytest.param(pid, False, id=f"{pid}-prescale0-own-pass") for pid in ("PCA-SVM", "PCA-ANN")]
 
 
-@pytest.mark.parametrize("pid, prescale, cohort_gram", _SCORED)
-def test_only_the_rows_that_a_fit_scored_skip_the_bundle_path(pid, prescale, cohort_gram,
+@pytest.mark.parametrize("pid, cohort_gram", _SCORED)
+def test_only_the_rows_that_a_fit_scored_skip_the_bundle_path(pid, cohort_gram,
                                                               small_grayscale, small_vaf,
                                                               small_runconfig):
     # a fold fit scores its test rows itself, in ascending row order,
@@ -577,8 +584,7 @@ def test_only_the_rows_that_a_fit_scored_skip_the_bundle_path(pid, prescale, coh
     # through the bundle path; the two must agree
     fm = small_vaf if pid == "VAF-SVM" else small_grayscale
     X, labels = fm.values, np.asarray(fm.labels, dtype=object)
-    cfg = dataclasses.replace(small_runconfig, kernel_scale=_median_scale(X),
-                              pca_prescale=prescale)
+    cfg = dataclasses.replace(small_runconfig, kernel_scale=_median_scale(X))
     sp = stratified_split(labels, 4, 0.10, seed=0)[1]
     model = fit_pipeline(pid, X, labels, cfg, ann_seed=2, rows=sp.train, val_rows=sp.val,
                          gram=raw_gram(X) if cohort_gram else None)
@@ -604,22 +610,24 @@ def _read_only(a):
     return a
 
 
-_FITS = [(pid, kind, prescale, False)
+_FITS = [(pid, kind, False)
          for pid in PIPELINES
-         for kind in (("vaf",) if pid == "VAF-SVM" else ("grayscale", "vaf"))
-         for prescale in (False, True)] + [("VAF-SVM", "vaf", False, True)]
+         for kind in (("vaf",) if pid == "VAF-SVM" else ("grayscale", "vaf"))] + [
+    ("VAF-SVM", "vaf", True)]
 
 
-@pytest.mark.parametrize("pid, kind, prescale, median_scale", _FITS,
-                         ids=[f"{p}-{k}-prescale{int(s)}" + ("-median-scale" if m else "")
-                              for p, k, s, m in _FITS])
-def test_a_fit_on_rows_equals_a_fit_on_the_sliced_rows(pid, kind, prescale, median_scale,
+# "prescale0" in the ids is the spelling these cases had beside the
+# pca_prescale cases that were removed with that option
+@pytest.mark.parametrize("pid, kind, median_scale", _FITS,
+                         ids=[f"{p}-{k}-prescale0" + ("-median-scale" if m else "")
+                              for p, k, m in _FITS])
+def test_a_fit_on_rows_equals_a_fit_on_the_sliced_rows(pid, kind, median_scale,
                                                        small_grayscale, small_vaf,
                                                        small_runconfig):
     # every input is read-only, so a fit that writes into its caller's
     # arrays (the session-wide feature fixtures among them) raises here
     fm = small_vaf if kind == "vaf" else small_grayscale
-    cfg = dataclasses.replace(small_runconfig, feature_kind=kind, pca_prescale=prescale)
+    cfg = dataclasses.replace(small_runconfig, feature_kind=kind)
     if median_scale:
         cfg = dataclasses.replace(cfg, kernel_scale=_median_scale(fm.values))
     X = _read_only(fm.values)
@@ -687,22 +695,19 @@ def test_vaf_svm_fold_fit_makes_no_copy_of_its_rows(rng, small_runconfig):
 @pytest.mark.parametrize("pid", ["PCA-SVM", "PCA-ANN"])
 def test_pca_fold_fit_allocates_one_working_copy(pid, rng, small_runconfig):
     # the fit reads the fold's rows through their raw Gram, built one
-    # column block at a time, and with pca_prescale the sigmas come from
-    # the same blocks, so no copy of the training rows is made: not even
-    # the one working copy of a fit that centres them (about 1.1x), let
-    # alone prescale's two (2.16x). W is mapped back only when it is read.
+    # column block at a time, so no copy of the training rows is made: not
+    # even the one working copy of a fit that centres them (about 1.1x).
+    # W is mapped back only when it is read.
     # PCA-ANN's validation rows (5 here, like a fold's 8 beside 56 training
     # rows) are scored from the same Gram. float32 rows are upcast one
     # reused block at a time.
     val_rows = np.arange(45, 50) if pid == "PCA-ANN" else None
     for dtype in (np.float64, np.float32):
-        for prescale in (False, True):
-            cfg = dataclasses.replace(small_runconfig, pca_prescale=prescale)
-            model, peak = _wide_fold_fit(pid, cfg, rng, dtype, val_rows)
-            assert model.weight.shape[0] == 20_000
-            if val_rows is not None:
-                assert model.classifier.history["val_sse"] is not None
-            assert peak <= 0.5, (dtype, prescale, peak)
+        model, peak = _wide_fold_fit(pid, small_runconfig, rng, dtype, val_rows)
+        assert model.weight.shape[0] == 20_000
+        if val_rows is not None:
+            assert model.classifier.history["val_sse"] is not None
+        assert peak <= 0.5, (dtype, peak)
 
 
 def _wide_float32_fold(rng):
@@ -715,26 +720,24 @@ def _wide_float32_fold(rng):
 
 def test_float32_rows_give_the_raw_gram_and_map_back_of_their_float64_upcast(rng):
     X32, X64, _, sp = _wide_float32_fold(rng)
-    scale = rng.random(X32.shape[1]) + 0.5
     for rows in (None, sp.train):
         G = raw_gram(X32, rows)
         assert np.array_equal(G, raw_gram(X64, rows)) and np.array_equal(G, G.T)
         coef = rng.normal(size=(X32.shape[0] if rows is None else rows.size, 5))
-        for s in (None, scale):
-            W32, means32 = pca_map_back(X32, rows, coef, s)
-            W64, means64 = pca_map_back(X64, rows, coef, s)
-            assert np.array_equal(W32, W64) and np.array_equal(means32, means64)
+        W32, means32 = pca_map_back(X32, rows, coef)
+        W64, means64 = pca_map_back(X64, rows, coef)
+        assert np.array_equal(W32, W64) and np.array_equal(means32, means64)
 
 
-@pytest.mark.parametrize("pid, prescale, cohort_gram", _SCORED)
+@pytest.mark.parametrize("pid, cohort_gram", _SCORED)
 def test_a_fit_on_float32_rows_equals_the_fit_on_their_float64_upcast(
-        pid, prescale, cohort_gram, rng, small_runconfig):
+        pid, cohort_gram, rng, small_runconfig):
     # float32 -> float64 is exact and every reader of the rows upcasts
     # them before any arithmetic, so the fit, its held-out scores, its
     # bundle and its bundle-path scores are the same bits
     X32, X64, labels, sp = _wide_float32_fold(rng)
     cfg = dataclasses.replace(small_runconfig, feature_kind="vaf",
-                              kernel_scale=_median_scale(X64), pca_prescale=prescale)
+                              kernel_scale=_median_scale(X64))
     models = [fit_pipeline(pid, X, labels, cfg, ann_seed=2, rows=sp.train,
                            val_rows=sp.val, gram=raw_gram(X) if cohort_gram else None)
               for X in (X32, X64)]
