@@ -9,14 +9,14 @@ slice only drives ANN early stopping; SVM training ignores it.
 Every fold refits standardization, PCA, and the classifier on its own
 training rows, so no test information leaks into fitted parameters.
 cross_validate hands fit_pipeline the whole feature matrix and the fold's
-training and validation row indices. For the PCA pipelines it also builds
-one raw Gram X X^T per feature matrix (pca.raw_gram) and passes it to
-every fold's fit: each fold's PCA fit, and its validation and test rows,
-are read from that n x n matrix, so no fold gathers, centres or
-multiplies the m-wide rows. Its entry (i, j) depends on rows i and j
-only, so the fits stay independent of the test rows. VAF-SVM fits each
-fold in one blocked pass over X whose training-row products do not
-depend on the test rows either.
+training and validation row indices. Every PCA fit reads the raw Gram
+X X^T of every row (pca.raw_gram), so cross_validate builds it once per
+feature matrix and passes it to every fold's fit: each fold's PCA fit,
+and its validation and test rows, are read from that n x n matrix, so no
+fold gathers, centres or multiplies the m-wide rows. Its entry (i, j)
+depends on rows i and j only, so the fits stay independent of the test
+rows. VAF-SVM fits each fold in one blocked pass over X whose
+training-row products do not depend on the test rows either.
 
 Every fit scores its fold's test rows itself, as its held-out rows, and
 keeps their scores in ascending row order, the order of the fold's sorted

@@ -12,22 +12,24 @@ Conventions:
   * contribution rates divide each eigenvalue by the sum over the whole
     computed spectrum.
 
-fit_pca takes the direct m x m covariance route when m <= n and otherwise
-the Gram route in n x n space (kernel PCA with a linear kernel; Schoelkopf,
-Smola & Mueller 1998). That route starts from the raw Gram G = X X^T of
-the training rows, with no mean subtracted, so entry (i, j) depends on rows
-i and j only: one Gram of a whole cohort serves every cross-validation
-fold, and no fold's fit depends on its test rows. Double centring turns G
-into Xc Xc^T. By the snapshot identity (Sirovich 1987) the training scores
-are U sqrt((n-1) lambda), so the sign rule is eigen_symmetric's own fix on
-U. Any other row scores (g - mean(g)) coef + origin from its raw Gram row g
-over the training rows, with coef = U / sqrt((n-1) lambda) and origin the
-scores of the zero row. Only the r <= n-1 components of the nonzero
-spectrum are kept. When fit_pca builds the Gram itself, it maps the m-wide
-means and components back at once, one column block at a time (map_back:
-X_b^T coef - mean_b 1^T coef, no centred copy). Given the caller's Gram, it
-forms neither: the model keeps coef, origin and the training scores, which
-is all that scoring rows from their Gram rows needs, and holds no
+fit_pca takes the Gram route in n x n space (kernel PCA with a linear
+kernel; Schoelkopf, Smola & Mueller 1998) whenever the caller passes the
+raw Gram G = X X^T of the fitted rows (raw_gram), as every pipeline fit
+does; given only X, it takes that route when m > n (or as method says)
+and the direct m x m covariance route otherwise. G subtracts no mean, so entry
+(i, j) depends on rows i and j only: one Gram of a whole cohort serves
+every cross-validation fold, and no fold's fit depends on its test rows.
+Double centring turns G into Xc Xc^T. By the snapshot identity (Sirovich
+1987) the training scores are U sqrt((n-1) lambda), so the sign rule is
+eigen_symmetric's own fix on U. Any other row scores
+(g - mean(g)) coef + origin from its raw Gram row g over the training
+rows, with coef = U / sqrt((n-1) lambda) and origin the scores of the zero
+row. Only the r <= n-1 components of the nonzero spectrum are kept. When
+fit_pca builds the Gram itself, it maps the m-wide means and components
+back at once, one column block at a time (map_back:
+X_b^T coef - mean_b 1^T coef, no centred copy). Given the caller's Gram,
+it forms neither: the model keeps coef, origin and the training scores,
+which is all that scoring rows from their Gram rows needs, and holds no
 reference to X.
 
 The zero-variance check compares the total centred variance with a
@@ -126,17 +128,15 @@ def column_blocks(X: np.ndarray, rows: np.ndarray | None = None, start: int = 0)
         yield a, b, block
 
 
-def raw_gram(X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """Raw Gram X X^T of the rows of X, or of those that the integer indices
-    rows select, in that order. No mean is subtracted, so entry (i, j)
-    depends on rows i and j only. Built one column block at a time: no copy
-    of the rows is made beyond one block (float32 rows are upcast one
-    reused block at a time). Each block's Xb Xb^T is numpy's syrk, exactly
-    symmetric, so their sum is too."""
+def raw_gram(X: np.ndarray) -> np.ndarray:
+    """Raw Gram X X^T of the rows of X. No mean is subtracted, so entry
+    (i, j) depends on rows i and j only. Built one column block at a time:
+    no copy of the rows is made beyond one block (float32 rows are upcast
+    one reused block at a time). Each block's Xb Xb^T is numpy's syrk,
+    exactly symmetric, so their sum is too."""
     X = feature_rows(X)
-    n = X.shape[0] if rows is None else len(rows)
-    G = np.zeros((n, n))
-    for _, _, Xb in column_blocks(X, rows):
+    G = np.zeros((X.shape[0], X.shape[0]))
+    for _, _, Xb in column_blocks(X):
         G += Xb @ Xb.T
     return G
 
@@ -160,24 +160,14 @@ def map_back(X: np.ndarray, rows: np.ndarray | None,
     return out.T, means
 
 
-def center(X: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Column-center X, or the rows of X that the integer indices rows
-    select; returns (Xc, per-feature means).
-
-    Xc is the only new n x m array: with rows, the gathered copy is
-    centered in place; without them, Xc is X - means. X itself is never
-    written.
-    """
+def center(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column-center X; returns (Xc, per-feature means). Xc = X - means is
+    the only new n x m array, and X itself is never written."""
     X = np.asarray(X, dtype=np.float64)
-    if rows is not None:
-        X = np.take(X, rows, axis=0)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("X must be a non-empty 2-D matrix")
     means = X.mean(axis=0)
-    if rows is None:
-        return X - means, means
-    X -= means
-    return X, means
+    return X - means, means
 
 
 def covariance(Xc: np.ndarray) -> np.ndarray:
@@ -253,32 +243,33 @@ def select_components(rates, cum_threshold: float) -> int:
 
 
 def fit_pca(X, cum_threshold: float = 0.95, method: str = "auto",
-            rows: np.ndarray | None = None,
             gram: np.ndarray | None = None) -> PcaModel:
-    """Fit a PCA model on the rows of X (ndarray or FeatureMatrix), or on
-    the rows that the integer indices rows select.
+    """Fit a PCA model on the rows of X (ndarray or FeatureMatrix).
 
-    method: "direct" eigendecomposes the m x m covariance, "gram" the n x n
-    centred Gram matrix (exact for the nonzero spectrum), "auto" picks gram
-    when m > n. gram, if given, is raw_gram(X, rows), which the Gram route
-    then reads instead of building it; such a fit reads X for its shape
-    only, and its model has no means or components (None). Without gram,
-    the Gram route maps both back from the rows before it returns.
+    gram, if given, is raw_gram of the fitted rows, and the fit takes the
+    Gram route from it alone: it reads X for its width only, n is the
+    Gram's order, and the model has no means or components (None).
+    Without gram, method picks the route: "direct" eigendecomposes the
+    m x m covariance, "gram" the n x n centred Gram matrix (exact for the
+    nonzero spectrum), which it builds with raw_gram and from which it
+    maps both back before it returns, and "auto" picks gram when m > n.
+    method "direct" with a gram is refused.
     """
     X = feature_rows(getattr(X, "values", X))
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
     if method not in ("auto", "direct", "gram"):
         raise ValueError(f"unknown method {method!r}")
-    n = X.shape[0] if rows is None else len(rows)
-    m = X.shape[1]
+    if gram is not None and method == "direct":
+        raise ValueError("method 'direct' reads the rows, not a Gram")
+    n, m = (X.shape[0] if gram is None else gram.shape[0]), X.shape[1]
     if n < 2:
         raise ValueError("fit_pca needs n >= 2 samples")
+    if gram is not None:
+        return _fit_gram(gram, m, cum_threshold)
     if m > n if method == "auto" else method == "gram":
-        if gram is not None:
-            return _fit_gram(gram, m, cum_threshold)
-        return _fit_gram(raw_gram(X, rows), m, cum_threshold, basis=(X, rows))
-    Xc, means = center(X, rows)
+        return _fit_gram(raw_gram(X), m, cum_threshold, basis=X)
+    Xc, means = center(X)
     P = covariance(Xc)
     # identical rows leave round-off residue, not exact zeros; treat variance
     # at that level as a zero spectrum instead of normalizing noise. bound
@@ -301,8 +292,8 @@ def fit_pca(X, cum_threshold: float = 0.95, method: str = "auto",
 
 def _fit_gram(G, m, cum_threshold, basis=None) -> PcaModel:
     """The Gram route of fit_pca, from the raw Gram G of the fitted rows of
-    m features; basis, if given, is (X, rows), from which the means and
-    components are mapped back."""
+    m features; basis, if given, is the rows X themselves, from which the
+    means and components are mapped back."""
     n = G.shape[0]
     r = G.mean(axis=0)
     Gc = G - r
@@ -325,7 +316,7 @@ def _fit_gram(G, m, cum_threshold, basis=None) -> PcaModel:
     coef = U / norms
     rates = contribution_rates(eigenvalues)
     retained = select_components(rates, cum_threshold)
-    components, means = (None, None) if basis is None else map_back(*basis, coef)
+    components, means = (None, None) if basis is None else map_back(basis, None, coef)
     return PcaModel(eigenvalues=eigenvalues, retained=retained, contribution=rates,
                     means=means, components=components,
                     scores=U[:, :retained] * norms[:retained], coef=coef,

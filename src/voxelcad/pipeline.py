@@ -16,28 +16,27 @@ applies it in a single step.
 A fit reads the m-wide rows of X at most once. Every PCA fit takes
 pca.fit_pca's Gram route, which is exact for any shape (kernel PCA with a
 linear kernel), and VAF-SVM needs only the kernel of its z-scored rows;
-so both need only inner products of the rows. A fit reads them from the
-raw Gram that cross-validation builds once over every row of X
-(pca.raw_gram) and passes as gram, or else from one blocked pass over X
-(_row_products). The pass gathers one pca.column_blocks block at a time,
-training rows first, z-scores it in place for VAF-SVM alone, to
-(x - mu) / sigma with mu and sigma from the training rows, and sums
-only the products with the training rows and the other rows' squared
-norms (PCA reads the raw rows). VAF-SVM skips
-the validation rows, which SVM training ignores. With a Gaussian kernel
-its pass stops early once the partial distances prove that every kernel
-entry off the training diagonal underflows to exactly 0.0, as at the
-paper's scale: the kernel, and so the whole fit, is then the full pass's
-bit for bit, and the unread columns' mu and sigma are formed from the
-training rows only if a bundle needs them. This speeds up only an
-identity kernel, a vacuous fit. VAF rows are float32, the volumes' own
-type, and column_blocks upcasts each gathered block into one reused
-float64 buffer, so no fit holds an m-wide float64 copy of them; the
-upcast is exact, so every number is the one float64 rows would give. No
-fit keeps a copy of the rows: PCA's W is mapped back from the training
-rows, and VAF-SVM's scale, offset and z-scored support vectors are formed
-from X, only when read, to write a bundle or to score rows that the fit
-did not.
+so both need only inner products of the rows. A PCA fit reads them from
+one raw Gram of every row of X (pca.raw_gram): the one that
+cross-validation builds once and passes as gram, or else its own. VAF-SVM
+reads its z-scored rows' products from one blocked pass over X
+(_row_products), which gathers one pca.column_blocks block at a time,
+training rows first, z-scores it in place to (x - mu) / sigma with mu and
+sigma from the training rows, and sums only the products with the
+training rows and the other rows' squared norms. It skips the validation
+rows, which SVM training ignores. With a Gaussian kernel the pass stops
+early once the partial distances prove that every kernel entry off the
+training diagonal underflows to exactly 0.0, as at the paper's scale:
+the kernel, and so the whole fit, is then the full pass's bit for bit,
+and the unread columns' mu and sigma are formed from the training rows
+only if a bundle needs them. This speeds up only an identity kernel, a
+vacuous fit. VAF rows are float32, the volumes' own type, and
+column_blocks upcasts each block into one reused float64 buffer, so no
+fit holds an m-wide float64 copy of them; the upcast is exact, so every
+number is the one float64 rows would give. No fit keeps a copy of the
+rows: PCA's W is mapped back from the training rows, and VAF-SVM's scale,
+offset and z-scored support vectors are formed from X, only when read,
+to write a bundle or to score rows that the fit did not.
 
 So every fit ends its n-space work itself: it scores the rows of X that
 are neither training nor validation rows, the held-out rows, inside the
@@ -74,7 +73,7 @@ from . import ann, svm
 from .config import RunConfig
 from .features import FeatureKind, block_features, check_recipe, vaf_features
 from .labels import from_sign, to_sign
-from .pca import center, column_blocks, feature_rows, fit_pca, map_back
+from .pca import center, column_blocks, feature_rows, fit_pca, map_back, raw_gram
 from .pca import project  # not called here; perfbench/tracing.py wraps this name
 from .volume import Volume
 
@@ -381,21 +380,19 @@ _UNDERFLOW = 746.0    # np.exp(-x) is exactly 0.0 for every x past 745.14
 
 
 def _row_products(X: np.ndarray, train: np.ndarray, others: np.ndarray,
-                  zscore: bool = False, underflow_scale: float | None = None):
-    """One pass over the columns of X for a fit: (G, norms, stats).
+                  underflow_scale: float | None = None):
+    """VAF-SVM's one pass over the columns of X: (G, norms, stats).
 
     The rows of X that the integer indices train select, then those that
-    others select, are gathered one pca.column_blocks block at a time. With
-    zscore, each block is transformed in place, column by column, to
+    others select, are gathered one pca.column_blocks block at a time, and
+    each block is transformed in place, column by column, to
     (x - means) / sigmas, where means and sigmas are standardize's on the
     training rows, bit for bit (the product with 1/sigmas may differ from
-    standardize's quotient in the last bits); without it, the rows are
-    read raw. With z the rows so read, G[i, j] = z_i . z_j over every
-    gathered row i and training row j, and norms[i] = z_i . z_i. The
-    training rows' G is summed as its own product (numpy's syrk, so exactly
-    symmetric), and does not depend on the other rows. stats() returns
-    (means, sigmas), both None without zscore, so the raw pass allocates
-    nothing m-wide.
+    standardize's quotient in the last bits). With z the rows so
+    transformed, G[i, j] = z_i . z_j over every gathered row i and
+    training row j, and norms[i] = z_i . z_i. The training rows' G is
+    summed as its own product (numpy's syrk, so exactly symmetric), and
+    does not depend on the other rows. stats() returns (means, sigmas).
 
     underflow_scale s, given for a Gaussian kernel on the z-scored rows,
     lets the pass stop early. After blocks 1, 2, 4, 8, ... it takes the
@@ -433,13 +430,12 @@ def _row_products(X: np.ndarray, train: np.ndarray, others: np.ndarray,
     _UNDERFLOW absorbs the rounding of the test itself and of d / s^2."""
     m, t = X.shape[1], train.size
     order = np.concatenate([train, others])
-    means, sigmas = (np.empty(m), np.empty(m)) if zscore else (None, None)
+    means, sigmas = np.empty(m), np.empty(m)
     G = np.zeros((order.size, t))
     norms = np.zeros(order.size)
     read = m
     for k, (a, b, Xb) in enumerate(column_blocks(X, order), 1):
-        if zscore:
-            _standardize_block(Xb, t, a, b, means, sigmas)
+        _standardize_block(Xb, t, a, b, means, sigmas)
         # only Xb refers to the block, so it is freed once the next one
         # is gathered
         G[:t] += Xb[:t] @ Xb[:t].T
@@ -535,8 +531,8 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     integer indices into the same X and labels, are the validation rows:
     they drive ANN early stopping only, through the composed front end like
     test rows; SVM training ignores them. gram, if given, is raw_gram(X),
-    the raw Gram of every row of X; the PCA pipelines read it in place of
-    their own pass over X. X itself is never written.
+    the raw Gram of every row of X, which the PCA pipelines read; without
+    it they build that Gram themselves. X itself is never written.
 
     The fit scores the other rows of X, the held-out rows, from the inner
     products it has read. The model keeps those scores, in ascending row
@@ -561,7 +557,7 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
     if pid == "VAF-SVM":
         kernel = cfg.kernel_spec()
         scale = kernel.scale if kernel.kind is svm.KernelKind.GAUSSIAN else None
-        G, norms, stats = _row_products(X, train, held, zscore=True, underflow_scale=scale)
+        G, norms, stats = _row_products(X, train, held, underflow_scale=scale)
         K = svm.kernel_values(kernel, G, norms, norms[:train.size])
         K_train = K[:train.size]
         alpha, bias = svm.smo(K_train, targets, cfg.C, cfg.svm_tol)
@@ -583,11 +579,9 @@ def fit_pipeline(pipeline: str, X: np.ndarray, labels, cfg: RunConfig,
         v = n if val_rows is None else n + val_rows.size
         others = held if val_rows is None else np.concatenate([val_rows, held])
         if gram is None:
-            G = _row_products(X, train, others)[0]
-        else:
-            G = gram[np.ix_(np.concatenate([train, others]), train)]
-        pca_model = fit_pca(X, cum_threshold=cfg.pca_threshold, method="gram", rows=rows,
-                            gram=G[:n])
+            gram = raw_gram(X)
+        G = gram[np.ix_(np.concatenate([train, others]), train)]
+        pca_model = fit_pca(X, cum_threshold=cfg.pca_threshold, gram=G[:n])
         retained = pca_model.retained
         cum_variance = float(np.cumsum(pca_model.contribution)[retained - 1])
         Xs, means, sigmas = standardize(pca_model.scores)

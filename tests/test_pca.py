@@ -323,9 +323,9 @@ def test_model_invariants():
 
 def test_a_fit_from_the_callers_gram_keeps_no_reference_to_the_rows(rng):
     X = rng.normal(size=(12, 300)) * np.geomspace(5.0, 0.05, 300)
-    rows = np.arange(1, 11)
-    full = fit_pca(X, cum_threshold=0.95, rows=rows)
-    model = fit_pca(X, cum_threshold=0.95, rows=rows, gram=raw_gram(X, rows))
+    X = X[np.arange(1, 11)]
+    full = fit_pca(X, cum_threshold=0.95)
+    model = fit_pca(X, cum_threshold=0.95, gram=raw_gram(X))
     assert model.components is None and model.means is None
     assert model.n_features == 300 and model.retained == full.retained
     for name in ("eigenvalues", "contribution", "scores", "coef", "origin"):
@@ -335,3 +335,19 @@ def test_a_fit_from_the_callers_gram_keeps_no_reference_to_the_rows(rng):
     alive = weakref.ref(X)
     del X
     assert alive() is None
+
+
+def test_a_given_gram_always_takes_the_gram_route(rng):
+    # narrow rows (m <= n) would take the direct route from X, but a fit
+    # given their Gram reads the Gram alone
+    X = rng.normal(size=(30, 5))
+    G = raw_gram(X)
+    full = fit_pca(X, cum_threshold=1.0, method="gram")
+    for method in ("auto", "gram"):
+        model = fit_pca(X, cum_threshold=1.0, method=method, gram=G)
+        assert model.components is None and model.means is None
+        assert model.n_features == 5 and model.coef.shape == (30, 5)
+        for name in ("eigenvalues", "contribution", "scores", "coef", "origin"):
+            assert np.array_equal(getattr(model, name), getattr(full, name))
+    with pytest.raises(ValueError, match="'direct' reads the rows, not a Gram"):
+        fit_pca(X, method="direct", gram=G)

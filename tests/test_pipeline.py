@@ -259,7 +259,7 @@ def test_fold_front_ends_from_the_cohort_gram_match_a_staged_reference(
     G = raw_gram(X)
     for i, sp in enumerate(stratified_split(labels, cfg.folds, cfg.val_fraction, cfg.seed)):
         n = sp.train.size
-        Xc, means = center(X, sp.train)
+        Xc, means = center(X[sp.train])
         lam, U = np.linalg.eigh(Xc @ Xc.T / (n - 1))
         lam, U = lam[::-1][:n - 1], U[:, ::-1][:, :n - 1]
         k = select_components(contribution_rates(lam), cfg.pca_threshold)
@@ -270,7 +270,7 @@ def test_fold_front_ends_from_the_cohort_gram_match_a_staged_reference(
         want = {name: ((X[r] - means) @ V - mu) / sd
                 for name, r in (("val", sp.val), ("test", sp.test))}
         # training rows, through the PCA fit's scores
-        pca = fit_pca(X, cfg.pca_threshold, rows=sp.train, gram=G[np.ix_(sp.train, sp.train)])
+        pca = fit_pca(X[sp.train], cfg.pca_threshold, gram=G[np.ix_(sp.train, sp.train)])
         assert pca.retained == k
         assert np.max(np.abs(pca.scores - train_scores)) <= 1e-9 * np.max(np.abs(train_scores))
         # validation rows, through the SSE that early stopping kept
@@ -568,10 +568,9 @@ def test_a_vaf_fold_fit_matches_the_staged_fit_on_a_kernel_that_is_not_the_ident
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
-# "prescale0" in the ids is the spelling these cases had beside the
-# pca_prescale cases that were removed with that option
+# the -own-gram cases pass no gram, so the PCA fit builds its own
 _SCORED = [pytest.param(pid, True, id=pid) for pid in PIPELINES] + [
-    pytest.param(pid, False, id=f"{pid}-prescale0-own-pass") for pid in ("PCA-SVM", "PCA-ANN")]
+    pytest.param(pid, False, id=f"{pid}-own-gram") for pid in ("PCA-SVM", "PCA-ANN")]
 
 
 @pytest.mark.parametrize("pid, cohort_gram", _SCORED)
@@ -579,7 +578,7 @@ def test_only_the_rows_that_a_fit_scored_skip_the_bundle_path(pid, cohort_gram,
                                                               small_grayscale, small_vaf,
                                                               small_runconfig):
     # a fold fit scores its test rows itself, in ascending row order,
-    # whether it reads the cohort Gram or makes its own pass over X, and
+    # whether it reads the cohort Gram or builds its own, and
     # cross_validate labels them from those scores instead of sending them
     # through the bundle path; the two must agree
     fm = small_vaf if pid == "VAF-SVM" else small_grayscale
@@ -616,11 +615,8 @@ _FITS = [(pid, kind, False)
     ("VAF-SVM", "vaf", True)]
 
 
-# "prescale0" in the ids is the spelling these cases had beside the
-# pca_prescale cases that were removed with that option
 @pytest.mark.parametrize("pid, kind, median_scale", _FITS,
-                         ids=[f"{p}-{k}-prescale0" + ("-median-scale" if m else "")
-                              for p, k, m in _FITS])
+                         ids=[f"{p}-{k}" + ("-median-scale" if m else "") for p, k, m in _FITS])
 def test_a_fit_on_rows_equals_a_fit_on_the_sliced_rows(pid, kind, median_scale,
                                                        small_grayscale, small_vaf,
                                                        small_runconfig):
@@ -633,16 +629,39 @@ def test_a_fit_on_rows_equals_a_fit_on_the_sliced_rows(pid, kind, median_scale,
     X = _read_only(fm.values)
     train, val = _fold(fm)
     labels = np.asarray(fm.labels, dtype=object)
-    on_rows = fit_pipeline(pid, X, labels, cfg, ann_seed=6, rows=_read_only(train),
-                           val_rows=_read_only(val))
-    # the same rows and validation rows, as indices into X[train ∪ val]
+    # the PCA fits read the raw Gram of their X's rows, as cross_validate
+    # passes it
     both = np.concatenate([train, val])
+    gram = None if pid == "VAF-SVM" else _read_only(raw_gram(X))
+    on_rows = fit_pipeline(pid, X, labels, cfg, ann_seed=6, rows=_read_only(train),
+                           val_rows=_read_only(val), gram=gram)
+    # the same rows and validation rows, as indices into X[train ∪ val]
     sliced = fit_pipeline(pid, _read_only(X[both]), labels[both], cfg, ann_seed=6,
                           rows=np.arange(train.size),
-                          val_rows=np.arange(train.size, both.size))
+                          val_rows=np.arange(train.size, both.size),
+                          gram=None if gram is None else gram[np.ix_(both, both)])
     assert on_rows.to_dict() == sliced.to_dict()
     _, scores = predict_matrix(on_rows, X)
     assert np.all(np.isfinite(scores))
+
+
+@pytest.mark.parametrize("fold", [False, True], ids=["all-rows", "fold"])
+@pytest.mark.parametrize("kind", ["grayscale", "vaf"])
+@pytest.mark.parametrize("pid", ["PCA-SVM", "PCA-ANN"])
+def test_a_pca_fit_without_a_gram_equals_the_fit_given_the_raw_gram(
+        pid, kind, fold, small_grayscale, small_vaf, small_runconfig):
+    # a PCA fit has one source of inner products: given no gram, it builds
+    # raw_gram(X) itself, as `train` does, and then fits as if given it
+    fm = small_vaf if kind == "vaf" else small_grayscale
+    cfg = dataclasses.replace(small_runconfig, feature_kind=kind)
+    X, labels = fm.values, np.asarray(fm.labels, dtype=object)
+    kw = dict(zip(("rows", "val_rows"), _fold(fm))) if fold else {}
+    own = fit_pipeline(pid, X, labels, cfg, ann_seed=6, **kw)
+    given = fit_pipeline(pid, X, labels, cfg, ann_seed=6, gram=raw_gram(X), **kw)
+    assert own.to_dict() == given.to_dict()
+    assert (own.held_out is None) == (given.held_out is None) == (not fold)
+    if fold:
+        assert _same_bits(own.held_out[0], given.held_out[0])
 
 
 def test_fit_pipeline_rejects_rows_that_are_not_indices(small_grayscale, small_runconfig):
@@ -721,8 +740,9 @@ def _wide_float32_fold(rng):
 def test_float32_rows_give_the_raw_gram_and_map_back_of_their_float64_upcast(rng):
     X32, X64, _, sp = _wide_float32_fold(rng)
     for rows in (None, sp.train):
-        G = raw_gram(X32, rows)
-        assert np.array_equal(G, raw_gram(X64, rows)) and np.array_equal(G, G.T)
+        picked = slice(None) if rows is None else rows
+        G = raw_gram(X32[picked])
+        assert np.array_equal(G, raw_gram(X64[picked])) and np.array_equal(G, G.T)
         coef = rng.normal(size=(X32.shape[0] if rows is None else rows.size, 5))
         W32, means32 = pca_map_back(X32, rows, coef)
         W64, means64 = pca_map_back(X64, rows, coef)
@@ -812,7 +832,7 @@ def test_the_vaf_svm_pass_stops_early_only_where_the_fit_keeps_every_bit(
     # over every row, and over the training rows (the huge row's entries
     # are 0 at any of these scales)
     t = sp.train.size
-    G, norms, _ = pipeline._row_products(X, sp.train, np.sort(sp.test), "zscore")
+    G, norms, _ = pipeline._row_products(X, sp.train, np.sort(sp.test))
     K = kernel_values(cfg.kernel_spec(), G, norms, norms[:t])
     off, off_train = K[~np.eye(*K.shape, dtype=bool)], K[:t][~np.eye(t, dtype=bool)]
     zeros = np.count_nonzero(off_train == 0.0)
